@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-smoke microbench vet lint lint-test lint-json lint-fix-check race cover-check faults fingerprint replay serve figures clean
+.PHONY: all build test bench bench-smoke microbench vet lint lint-test lint-json lint-fix-check race cover-check faults passes fingerprint replay serve figures clean
 
 all: build vet lint test
 
@@ -90,6 +90,15 @@ bench-smoke:
 faults:
 	$(GO) test -race -run 'Salvage|Cancel|Resync|Corrupt|Frame' ./internal/trace/ ./internal/stream/
 	$(GO) test -race ./internal/faultinject/ ./internal/fingerprint/
+
+# the one-walk contract on its own: the pass-count pins (input bytes
+# read = 3 x trace for a CLC job, spill bytes read = written), the
+# settle-time census against the walk it replaced and against the
+# in-memory pipeline on the paper's case, and two tsyncd sessions
+# sharing one SpillFS, all under the race detector
+passes:
+	$(GO) test -race -run 'TestInputPasses|TestLedger|TestDifferentialPipeline|TestWindowPolicyError' ./internal/stream/
+	$(GO) test -race -run TestSharedSpillFS ./internal/tsyncd/
 
 # the replay-clock suite on its own: RepCl unit/codec/fuzz-seed tests,
 # the replay engine's property/adversarial/fault-matrix tests, and the

@@ -164,9 +164,9 @@ func runStreaming(o options) (bool, error) {
 		return false, err
 	}
 	printCensus(census)
-	fmt.Printf("\nstreaming: peak %d pending items on one rank", stats.MaxPending)
+	fmt.Printf("\nstreaming: one merge walk, peak %d pending items on one rank", stats.MaxPending)
 	if stats.SpilledEvents > 0 {
-		fmt.Printf(", %d insertions spilled past the window", stats.SpilledEvents)
+		fmt.Printf(", %d insertions spilled past the window during it", stats.SpilledEvents)
 	}
 	fmt.Println("; run with -legacy for wait-state, latency, and region-profile analyses")
 	if o.fingerprint {

@@ -275,9 +275,9 @@ func runStreaming(o options, side sidecar) (bool, error) {
 	fmt.Printf("trace: %s on %s with %s timer, %d events (streaming, window %d, policy %s)\n\n",
 		o.in, h.Machine, h.Timer, res.Stats.Events, window, policy)
 	printReport(res.Before, res.After, res.CLCReport, res.Distortion, o.withCLC)
-	fmt.Printf("streaming: peak %d pending items on one rank", res.Stats.MaxPending)
+	fmt.Printf("streaming: one merge walk, peak %d pending items on one rank", res.Stats.MaxPending)
 	if res.Stats.SpilledEvents > 0 {
-		fmt.Printf(", %d insertions spilled past the window", res.Stats.SpilledEvents)
+		fmt.Printf(", %d insertions spilled past the window during it", res.Stats.SpilledEvents)
 	}
 	fmt.Println()
 	if res.Fingerprint != nil {

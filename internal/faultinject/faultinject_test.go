@@ -182,6 +182,18 @@ func TestFS(t *testing.T) {
 	if _, err := fs.Create("b"); err != nil {
 		t.Fatalf("create after fail budget: %v", err)
 	}
+	if fs.Count() != 2 {
+		t.Fatalf("Count = %d, want 2", fs.Count())
+	}
+	if err := fs.Remove("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Remove("a"); err == nil {
+		t.Fatal("Remove of a missing file succeeded")
+	}
+	if fs.Count() != 1 || fs.Len("a") != -1 {
+		t.Fatalf("after Remove: Count = %d, Len(a) = %d", fs.Count(), fs.Len("a"))
+	}
 }
 
 func TestHookReaderAt(t *testing.T) {

@@ -52,6 +52,25 @@ func (fs *FS) Len(name string) int {
 	return -1
 }
 
+// Count reports how many files the FS holds.
+func (fs *FS) Count() int {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return len(fs.files)
+}
+
+// Remove deletes a file. The freed bytes do not return to the quota: it
+// models bytes written, not bytes held.
+func (fs *FS) Remove(name string) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if _, ok := fs.files[name]; !ok {
+		return fmt.Errorf("faultinject: remove %s: no such file", name)
+	}
+	delete(fs.files, name)
+	return nil
+}
+
 func (fs *FS) Create(name string) (io.WriteCloser, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()

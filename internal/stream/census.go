@@ -27,37 +27,31 @@ func (s *censusSink) event(rank, idx int, ev *trace.Event, mapped float64, in []
 		s.mapped.MessageEvents++
 	}
 	for _, e := range in {
-		lmin := e.LMin
-		if e.Logical {
-			s.raw.LogicalMessages++
-			s.mapped.LogicalMessages++
-			if ev.Time < e.Data.Raw {
-				s.raw.ReversedLogical++
-			}
-			if mapped < e.Data.Mapped {
-				s.mapped.ReversedLogical++
-			}
-		} else {
-			s.raw.Messages++
-			s.mapped.Messages++
-			if ev.Time < e.Data.Raw {
-				s.raw.Reversed++
-			}
-			if ev.Time < e.Data.Raw+lmin {
-				s.raw.ClockCondition++
-			}
-			if mapped < e.Data.Mapped {
-				s.mapped.Reversed++
-			}
-			if mapped < e.Data.Mapped+lmin {
-				s.mapped.ClockCondition++
-			}
-		}
-		if clc.Violated(e.Data.Mapped, mapped, lmin, s.gamma) {
+		countEdge(&s.raw, e.Data.Raw, ev.Time, e.LMin, e.Logical)
+		countEdge(&s.mapped, e.Data.Mapped, mapped, e.LMin, e.Logical)
+		if clc.Violated(e.Data.Mapped, mapped, e.LMin, s.gamma) {
 			s.violations++
 		}
 	}
 	return EdgeData{Raw: ev.Time, Mapped: mapped}, nil
+}
+
+// countEdge adds one happened-before edge, tail before head, to c.
+func countEdge(c *analysis.Census, tail, head, lmin float64, logical bool) {
+	if logical {
+		c.LogicalMessages++
+		if head < tail {
+			c.ReversedLogical++
+		}
+		return
+	}
+	c.Messages++
+	if head < tail {
+		c.Reversed++
+	}
+	if head < tail+lmin {
+		c.ClockCondition++
+	}
 }
 
 func (s *censusSink) final(EventRef) error { return nil }

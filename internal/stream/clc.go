@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"tsync/internal/analysis"
 	"tsync/internal/clc"
 	"tsync/internal/trace"
 )
@@ -39,17 +40,26 @@ import (
 // reads exactly times[k-1] and times[k] before any later ramp touches
 // them, jobs apply in the same ascending order over the same current
 // values, and the clamp sweep can never reach below the deque front.
+//
+// Emission is also where the After census is taken (the ledger below):
+// an emitted time never changes again, so each happened-before edge is
+// judged once, when the later of its two endpoints leaves its deque.
 type clcSink struct {
 	opt    clc.Options
 	acct   *accounting
 	ranks  []clcRank
 	rep    *clc.Report // EventsMoved / MaxAdvance accumulate here
 	spills *spillSet
+	ledger
 }
 
 type clcEntry struct {
 	orig, t1, cur, ub float64
-	final             bool
+	// rec names the ledger record of the entry's cross edges: 0 none,
+	// > 0 an index into msgs, < 0 the negated index into colls. head
+	// says which end of those edges the entry is.
+	rec         int32
+	final, head bool
 }
 
 type rampJob struct {
@@ -67,8 +77,13 @@ type clcRank struct {
 	w                *spillWriter
 }
 
-func newCLCSink(ranks int, opt clc.Options, acct *accounting, rep *clc.Report, spills *spillSet) (*clcSink, error) {
+// newCLCSink builds the sink; lmin(tail, head) is the unscaled minimum
+// latency between two ranks (Source.lmin), which the ledger needs when it
+// judges a collective edge long after the engine delivered it.
+func newCLCSink(ranks int, opt clc.Options, acct *accounting, rep *clc.Report, spills *spillSet, lmin func(tail, head int) float64) (*clcSink, error) {
 	s := &clcSink{opt: opt, acct: acct, ranks: make([]clcRank, ranks), rep: rep, spills: spills}
+	s.ledger = ledger{lmin: lmin, insts: map[instKey]int32{}, parked: map[EventRef]int32{}}
+	s.msgs.recs, s.colls.recs = make([]endpoint, 1), make([]collRec, 1)
 	for r := range s.ranks {
 		w, err := spills.writer(r)
 		if err != nil {
@@ -102,7 +117,14 @@ func (s *clcSink) event(rank, idx int, ev *trace.Event, mapped float64, in []InE
 		}
 	}
 
-	r.deque = append(r.deque, clcEntry{orig: mapped, t1: t1, cur: t1, ub: math.Inf(1)})
+	ent := clcEntry{orig: mapped, t1: t1, cur: t1, ub: math.Inf(1), head: len(in) > 0}
+	if ent.head {
+		var err error
+		if ent.rec, err = s.join(rank, ev, in); err != nil {
+			return EdgeData{}, err
+		}
+	}
+	r.deque = append(r.deque, ent)
 	if err := s.acct.add(rank, 1); err != nil {
 		return EdgeData{}, err
 	}
@@ -137,9 +159,19 @@ func (s *clcSink) final(ref EventRef) error {
 	r := &s.ranks[ref.Rank]
 	pos := ref.Idx - r.base
 	if pos < 0 {
+		// emitted before its out-edges were complete: whatever it parked
+		// has no further head to wait for
+		if id, ok := s.parked[ref]; ok {
+			delete(s.parked, ref)
+			s.release(id)
+		}
 		return nil
 	}
-	r.deque[pos].final = true
+	e := &r.deque[pos]
+	e.final = true
+	if e.rec < 0 && !e.head {
+		s.release(e.rec)
+	}
 	return s.pump(ref.Rank)
 }
 
@@ -223,6 +255,9 @@ func (s *clcSink) pump(rank int) error {
 				s.rep.MaxAdvance = adv
 			}
 		}
+		if front.rec != 0 || !front.final {
+			s.settle(EventRef{Rank: rank, Idx: r.base}, front)
+		}
 		r.deque = r.deque[1:]
 		r.base++
 		if err := s.acct.add(rank, -1); err != nil {
@@ -248,7 +283,226 @@ func (s *clcSink) flush() error {
 			return err
 		}
 	}
+	if m, c := s.msgs.live(), s.colls.live(); m > 0 || c > 0 || len(s.parked) > 0 {
+		return fmt.Errorf("stream: clc flush left %d edge records, %d instance records, %d parked finals (missing finality)", m, c, len(s.parked))
+	}
 	return nil
+}
+
+// ledger takes the After census inside the CLC walk (DESIGN.md §6). A
+// count over happened-before edges needs only each edge's two settled
+// times, so an edge is judged when its later endpoint is emitted, and the
+// earlier one's time waits in a record until then:
+//
+//   - a message's send and receive entries share one endpoint in msgs;
+//   - a collective instance has one collRec, found by (Comm, Instance)
+//     while the engine holds the instance open: the begins its ends have
+//     edges from, in the order ends first named them, and per end how
+//     long that list was when it arrived. Ends only ever see more begins,
+//     so an end's edges come from exactly that prefix (less its own
+//     rank) and there is no per-edge state;
+//   - a tail emitted before the engine's final for it (more heads may
+//     come) parks its record under its EventRef until a head claims it
+//     or the final says none will.
+//
+// A record lives only while one of its entries is in a deque or the
+// engine still holds its tail, all of which the window accounting
+// charges: the ledger is O(pending), and records recycle.
+type ledger struct {
+	lmin       func(tail, head int) float64
+	after      analysis.Census // the edge counts; the sink sees no event totals
+	violations int
+	msgs       recPool[endpoint]
+	colls      recPool[collRec]   // entries name these by negated index
+	insts      map[instKey]int32  // open instance → its record
+	parked     map[EventRef]int32 // emitted, not yet final tail → its record
+}
+
+// endpoint is one end of an edge and, once settled, its emitted time. In
+// msgs it is whichever end of the message left its deque first.
+type endpoint struct {
+	t       float64
+	rank    int32
+	settled bool
+}
+
+type collRec struct {
+	key          instKey
+	begins, ends []endpoint
+	saw          []int32 // ends[i]'s edges come from begins[:saw[i]]
+	// open counts the reasons to stay: one per unsettled begin or end, one
+	// per listed begin the engine has not finalized (another end may come).
+	open int32
+}
+
+// recPool hands out records by index (never 0) and takes them back; a
+// recycled record is reused as it was put.
+type recPool[T any] struct {
+	recs []T // [0] unused
+	free []int32
+}
+
+func (p *recPool[T]) get() int32 {
+	if n := len(p.free); n > 0 {
+		id := p.free[n-1]
+		p.free = p.free[:n-1]
+		return id
+	}
+	p.recs = append(p.recs, *new(T))
+	return int32(len(p.recs) - 1)
+}
+
+func (p *recPool[T]) put(id int32) { p.free = append(p.free, id) }
+func (p *recPool[T]) live() int    { return len(p.recs) - 1 - len(p.free) }
+
+// release drops the engine's hold on a tail's record: an unclaimed parked
+// time goes; an instance is complete (the engine finalizes its begins
+// together, and only then), so its key is free for the next instance to
+// reuse and its record loses one reason to stay.
+func (s *clcSink) release(id int32) {
+	if id > 0 {
+		s.msgs.recs[id] = endpoint{}
+		s.msgs.put(id)
+		return
+	}
+	delete(s.insts, s.colls.recs[-id].key)
+	s.closeOne(id)
+}
+
+func (s *clcSink) closeOne(id int32) {
+	c := &s.colls.recs[-id]
+	if c.open--; c.open == 0 {
+		c.begins, c.ends, c.saw = c.begins[:0], c.ends[:0], c.saw[:0]
+		s.colls.put(-id)
+	}
+}
+
+// edge judges one edge on its two settled times, exactly as censusSink
+// judges the mapped times of a walk.
+func (s *clcSink) edge(tail, head endpoint, logical bool) {
+	lmin := s.lmin(int(tail.rank), int(head.rank))
+	countEdge(&s.after, tail.t, head.t, lmin, logical)
+	if clc.Violated(tail.t, head.t, lmin, s.opt.Gamma) {
+		s.violations++
+	}
+}
+
+// tailRec finds an edge tail's record: on its deque entry while it is
+// pending (0: none yet), in parked once it was emitted. A tail in neither
+// was finalized before this head arrived, which the engine never does.
+func (s *clcSink) tailRec(ref EventRef) (int32, *clcEntry, error) {
+	r := &s.ranks[ref.Rank]
+	if pos := ref.Idx - r.base; pos >= 0 {
+		return r.deque[pos].rec, &r.deque[pos], nil
+	}
+	id, ok := s.parked[ref]
+	if !ok {
+		return 0, nil, fmt.Errorf("stream: clc ledger has no settled time for edge tail (rank %d event %d)", ref.Rank, ref.Idx)
+	}
+	return id, nil, nil
+}
+
+// join enters an arriving head's in-edges in the ledger and returns the
+// record its entry will carry. The engine delivers either one message
+// edge or the logical edges of one collective end.
+func (s *clcSink) join(rank int, ev *trace.Event, in []InEdge) (int32, error) {
+	if !in[0].Logical {
+		id, send, err := s.tailRec(in[0].From)
+		switch {
+		case err != nil:
+			return 0, err
+		case send != nil:
+			send.rec = s.msgs.get()
+			return send.rec, nil
+		}
+		delete(s.parked, in[0].From)
+		return id, nil
+	}
+	key := instKey{ev.Comm, ev.Instance}
+	id := s.insts[key]
+	if id == 0 {
+		id = -s.colls.get()
+		s.insts[key] = id
+		s.colls.recs[-id].key = key
+	}
+	c := &s.colls.recs[-id]
+	for _, e := range in {
+		held, begin, err := s.tailRec(e.From)
+		switch {
+		case err != nil:
+			return 0, err
+		case held < 0: // an earlier end listed it
+		case begin != nil:
+			begin.rec = id
+			c.begins = append(c.begins, endpoint{rank: int32(e.From.Rank)})
+			c.open += 2
+		default: // parked unnamed: its time moves into the list
+			c.begins = append(c.begins, s.msgs.recs[held])
+			s.release(held)
+			s.parked[e.From] = id
+			c.open++
+		}
+	}
+	c.ends = append(c.ends, endpoint{rank: int32(rank)})
+	c.saw = append(c.saw, int32(len(c.begins)))
+	c.open++
+	return id, nil
+}
+
+// find returns the position of rank's endpoint, which join put there.
+func find(ps []endpoint, rank int32) int {
+	i := 0
+	for ps[i].rank != rank {
+		i++
+	}
+	return i
+}
+
+// settle records e's emitted time in the ledger and judges every edge
+// whose other endpoint settled earlier.
+func (s *clcSink) settle(ref EventRef, e clcEntry) {
+	mine := endpoint{t: e.cur, rank: int32(ref.Rank), settled: true}
+	switch {
+	case e.rec == 0: // a tail leaving before any head named it
+		id := s.msgs.get()
+		s.msgs.recs[id] = mine
+		s.parked[ref] = id
+	case e.rec > 0:
+		switch other := s.msgs.recs[e.rec]; {
+		case !other.settled:
+			s.msgs.recs[e.rec] = mine
+		case e.head:
+			s.edge(other, mine, false)
+			s.release(e.rec)
+		default:
+			s.edge(mine, other, false)
+			s.release(e.rec)
+		}
+	case e.head:
+		c := &s.colls.recs[-e.rec]
+		i := find(c.ends, mine.rank)
+		c.ends[i] = mine
+		for _, b := range c.begins[:c.saw[i]] {
+			if b.settled && b.rank != mine.rank {
+				s.edge(b, mine, true)
+			}
+		}
+		s.closeOne(e.rec)
+	default:
+		c := &s.colls.recs[-e.rec]
+		i := find(c.begins, mine.rank)
+		c.begins[i] = mine
+		// the rank's own end is behind it in the deque: not settled yet
+		for j, en := range c.ends {
+			if en.settled && int(c.saw[j]) > i {
+				s.edge(mine, en, true)
+			}
+		}
+		if !e.final {
+			s.parked[ref] = e.rec
+		}
+		s.closeOne(e.rec)
+	}
 }
 
 // teeSink fans one engine walk out to two sinks; the second sink's edge

@@ -95,14 +95,26 @@ func diffSpecs() []stream.SynthSpec {
 		// proving the delta encoding lossless under every pipeline shape.
 		{Ranks: 4, Steps: 18, CollEvery: 3, Seed: xrand.SeedAt(diffSeed, 8),
 			Version: trace.Version2, FrameEvents: 16, Columnar: true},
+		// The paper's case: frequency jumps interpolation cannot follow,
+		// so CLC has violations to repair and events to move, and the
+		// After census is counted over times that differ from the mapped
+		// ones. Keep it last: paperSpec indexes it.
+		stream.PaperCaseSpec(xrand.SeedAt(diffSeed, 10)),
 	}
 }
+
+// paperSpec is the index of the paper's case in diffSpecs.
+const paperSpec = 4
 
 func TestDifferentialPipeline(t *testing.T) {
 	narrow := clc.DefaultOptions()
 	narrow.BackwardWindow = 2e-3
 	noBackward := clc.DefaultOptions()
 	noBackward.BackwardWindow = 0
+	// γ 0.5 lets CLC stop short of Eq. 1, so After.ClockCondition (full
+	// l_min) and ViolationsAfter (γ·l_min) are different counts.
+	halfGamma := clc.DefaultOptions()
+	halfGamma.Gamma = 0.5
 	pipes := []struct {
 		name string
 		base core.Base
@@ -113,6 +125,7 @@ func TestDifferentialPipeline(t *testing.T) {
 		{"interp-clc", core.BaseInterp, true, clc.Options{}},
 		{"align-clc-narrow", core.BaseAlign, true, narrow},
 		{"interp-clc-noback", core.BaseInterp, true, noBackward},
+		{"interp-clc-halfgamma", core.BaseInterp, true, halfGamma},
 	}
 	for si, spec := range diffSpecs() {
 		path, init, fin := synthFile(t, spec)
@@ -130,6 +143,15 @@ func TestDifferentialPipeline(t *testing.T) {
 			memSum, err := experiments.ChecksumTrace(mem.Trace)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if si == paperSpec && pipe.clc {
+				if mem.CLCReport.ViolationsBefore == 0 || mem.CLCReport.EventsMoved == 0 {
+					t.Fatalf("spec %d %s: the paper's case leaves CLC nothing to do: %+v", si, pipe.name, mem.CLCReport)
+				}
+				if pipe.name == "interp-clc-halfgamma" && (mem.After.ClockCondition == 0 || mem.After.ClockCondition == mem.CLCReport.ViolationsAfter) {
+					t.Fatalf("spec %d %s: After.ClockCondition %d and ViolationsAfter %d do not tell the two counts apart",
+						si, pipe.name, mem.After.ClockCondition, mem.CLCReport.ViolationsAfter)
+				}
 			}
 			for _, window := range diffWindows {
 				for _, workers := range diffWorkers {
@@ -263,11 +285,27 @@ func TestWindowPolicyError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PolicySpill: %v", err)
 	}
-	if res.Stats.SpilledEvents == 0 {
-		t.Error("PolicySpill recorded no spilled events despite window 1")
+	// 18 collective participations (3 ranks x 6 rounds), each holding its
+	// begin and its end: every second insertion lands past the window
+	if res.Stats.SpilledEvents != 18 {
+		t.Errorf("PolicySpill recorded %d spilled events, want 18", res.Stats.SpilledEvents)
 	}
 	if res.Stats.MaxPending <= 1 {
 		t.Errorf("MaxPending = %d, want > window", res.Stats.MaxPending)
+	}
+	// With CLC the look-back deque charges the same accounting, in the
+	// job's one merge walk: the count covers that walk and nothing else
+	// (a second walk used to add its own 18 on top).
+	res, err = (stream.Pipeline{
+		Base:    core.BaseNone,
+		CLC:     true,
+		Options: stream.Options{Window: 1, Policy: stream.PolicySpill},
+	}).Run(src, nil, nil, nil)
+	if err != nil {
+		t.Fatalf("PolicySpill with CLC: %v", err)
+	}
+	if res.Stats.SpilledEvents != 159 || res.Stats.MaxPending != 38 {
+		t.Errorf("CLC under window 1: %d spilled events, peak %d pending; want 159 and 38", res.Stats.SpilledEvents, res.Stats.MaxPending)
 	}
 }
 

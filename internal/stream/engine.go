@@ -75,9 +75,22 @@ type instance struct {
 	root   int32
 	begins map[int]sendEntry
 	ends   map[int]bool
+	// order caches beginOrder's result.
+	order []int
 	// endsSeen guards against orderings the oracle-time merge cannot
 	// support (an edge tail arriving after one of its heads).
 	endsSeen int
+}
+
+// beginOrder returns the ranks that have begun the instance, ascending:
+// the order of every in-edge list and finalization loop, so float folds
+// and error choices never depend on map order. Begins are only ever
+// added, so the cache is stale exactly when its length differs.
+func (ins *instance) beginOrder() []int {
+	if len(ins.order) != len(ins.begins) {
+		ins.order = sortedRanks(ins.begins)
+	}
+	return ins.order
 }
 
 // collClass partitions collective ops by their edge semantics.
@@ -111,9 +124,8 @@ type engine struct {
 	acct   *accounting
 
 	// sal tolerates salvage fallout (see Options.Salvage); loss receives
-	// the per-rank counters when non-nil (the first walk of a pipeline —
-	// later walks over the same source see the same conditions and must
-	// not double-count). lossSink absorbs counts when loss is nil.
+	// the per-rank counters when non-nil. lossSink absorbs counts when
+	// loss is nil.
 	sal      bool
 	loss     []RankLoss
 	lossSink RankLoss
@@ -340,7 +352,7 @@ func (e *engine) cleanupSalvage() error {
 	}
 	for _, ik := range sortedInstKeys(e.insts) {
 		ins := e.insts[ik]
-		for _, r := range sortedRanks(ins.begins) {
+		for _, r := range ins.beginOrder() {
 			e.lossAt(r).BrokenCollectives++
 			if err := e.snk.final(ins.begins[r].ref); err != nil {
 				return err
@@ -484,11 +496,11 @@ func (f *flatMerger) next() (int, *trace.Event, error) {
 }
 
 // lmin returns the unscaled minimum latency between two ranks' cores.
-func (e *engine) lmin(a, b int) float64 {
-	if a < 0 || a >= len(e.src.procs) || b < 0 || b >= len(e.src.procs) {
+func (s *Source) lmin(a, b int) float64 {
+	if a < 0 || a >= len(s.procs) || b < 0 || b >= len(s.procs) {
 		return 0
 	}
-	return e.src.head.MinLatency[topology.Relate(e.src.procs[a].Core, e.src.procs[b].Core)]
+	return s.head.MinLatency[topology.Relate(s.procs[a].Core, s.procs[b].Core)]
 }
 
 func (e *engine) process(r int) error {
@@ -532,7 +544,7 @@ func (e *engine) process(r int) error {
 		if err := e.acct.add(se.ref.Rank, -1); err != nil {
 			return err
 		}
-		in = append(in, InEdge{From: se.ref, Data: se.data, LMin: e.lmin(se.ref.Rank, r)})
+		in = append(in, InEdge{From: se.ref, Data: se.data, LMin: e.src.lmin(se.ref.Rank, r)})
 		matchedSend, haveMatch = se.ref, true
 	case trace.CollEnd:
 		ins, err := e.instanceFor(r, ev, false)
@@ -558,28 +570,28 @@ func (e *engine) process(r int) error {
 		case oneToN:
 			if r != root {
 				if rb, ok := ins.begins[root]; ok {
-					in = append(in, InEdge{From: rb.ref, Data: rb.data, LMin: e.lmin(root, r), Logical: true})
+					in = append(in, InEdge{From: rb.ref, Data: rb.data, LMin: e.src.lmin(root, r), Logical: true})
 				}
 			}
 		case nToOne:
 			if r == root {
 				// ascending-rank edge order: sinks fold the in-edges in
 				// slice order, and float folds are order-sensitive
-				for _, q := range sortedRanks(ins.begins) {
+				for _, q := range ins.beginOrder() {
 					if q == r {
 						continue
 					}
 					rec := ins.begins[q]
-					in = append(in, InEdge{From: rec.ref, Data: rec.data, LMin: e.lmin(q, r), Logical: true})
+					in = append(in, InEdge{From: rec.ref, Data: rec.data, LMin: e.src.lmin(q, r), Logical: true})
 				}
 			}
 		case nToN:
-			for _, q := range sortedRanks(ins.begins) {
+			for _, q := range ins.beginOrder() {
 				if q == r {
 					continue
 				}
 				rec := ins.begins[q]
-				in = append(in, InEdge{From: rec.ref, Data: rec.data, LMin: e.lmin(q, r), Logical: true})
+				in = append(in, InEdge{From: rec.ref, Data: rec.data, LMin: e.src.lmin(q, r), Logical: true})
 			}
 		}
 	}
@@ -727,12 +739,12 @@ func (e *engine) completeInstances(comm int32) error {
 			kept = append(kept, ins)
 			continue
 		}
-		for r, rec := range ins.begins {
+		for _, r := range ins.beginOrder() {
 			if e.sal && !ins.ends[r] {
 				// the rank's end was lost in a gap; release the begin
 				e.lossAt(r).BrokenCollectives++
 			}
-			if err := e.snk.final(rec.ref); err != nil {
+			if err := e.snk.final(ins.begins[r].ref); err != nil {
 				return err
 			}
 			if err := e.acct.add(r, -1); err != nil {

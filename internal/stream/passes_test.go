@@ -1,0 +1,155 @@
+package stream_test
+
+// Pass-count pins: how many times a job reads its input and its spill
+// files is part of the pipeline's contract (DESIGN.md §6), so a lost or
+// regained pass fails here and not only in a traced benchmark run.
+
+import (
+	"bytes"
+	"io"
+	"sync/atomic"
+	"testing"
+
+	"tsync/internal/core"
+	"tsync/internal/faultinject"
+	"tsync/internal/stream"
+	"tsync/internal/trace"
+	"tsync/internal/xrand"
+)
+
+// countingReaderAt counts the bytes ReadAt delivers.
+type countingReaderAt struct {
+	r io.ReaderAt
+	n atomic.Int64
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	n, err := c.r.ReadAt(p, off)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// countingFS counts the bytes written to and read back from spill files.
+type countingFS struct {
+	fs            stream.SpillFS
+	written, read atomic.Int64
+}
+
+type countingWriter struct {
+	io.WriteCloser
+	n *atomic.Int64
+}
+
+func (w countingWriter) Write(p []byte) (int, error) {
+	n, err := w.WriteCloser.Write(p)
+	w.n.Add(int64(n))
+	return n, err
+}
+
+type countingReader struct {
+	io.ReadCloser
+	n *atomic.Int64
+}
+
+func (r countingReader) Read(p []byte) (int, error) {
+	n, err := r.ReadCloser.Read(p)
+	r.n.Add(int64(n))
+	return n, err
+}
+
+func (c *countingFS) Create(name string) (io.WriteCloser, error) {
+	w, err := c.fs.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return countingWriter{w, &c.written}, nil
+}
+
+func (c *countingFS) Open(name string) (io.ReadCloser, error) {
+	r, err := c.fs.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return countingReader{r, &c.read}, nil
+}
+
+func TestInputPasses(t *testing.T) {
+	spec := stream.SynthSpec{Ranks: 6, Steps: 120, CollEvery: 4, Seed: xrand.SeedAt(diffSeed, 11)}
+	var buf bytes.Buffer
+	init, fin, err := stream.Synth(spec, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	clcPipe := stream.Pipeline{Base: core.BaseInterp, CLC: true}
+
+	// The index pass reads the whole file; every later pass reads the
+	// event sections only. One cursor sweep measures those.
+	sweep := &countingReaderAt{r: bytes.NewReader(data)}
+	src, err := stream.NewSource(sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sweep.n.Load(); got != int64(len(data)) {
+		t.Fatalf("the index pass read %d of %d bytes", got, len(data))
+	}
+	var ev trace.Event
+	for r := 0; r < src.Ranks(); r++ {
+		for cur := src.Cursor(r); cur.Next(&ev) == nil; {
+		}
+	}
+	eventBytes := sweep.n.Load() - int64(len(data))
+	if eventBytes <= 0 || eventBytes > int64(len(data)) || 100*eventBytes < 99*int64(len(data)) {
+		t.Fatalf("one cursor sweep read %d bytes of a %d-byte trace", eventBytes, len(data))
+	}
+
+	cases := []struct {
+		name   string
+		passes int64 // reads of the input, index pass included
+		spill  bool
+		run    func(src *stream.Source, opt stream.Options) error
+	}{
+		{"census", 2, false, func(src *stream.Source, opt stream.Options) error {
+			_, _, err := stream.Census(src, opt)
+			return err
+		}},
+		{"clc-analysis", 3, true, func(src *stream.Source, opt stream.Options) error {
+			p := clcPipe
+			p.Options = opt
+			_, err := p.Run(src, nil, init, fin)
+			return err
+		}},
+		{"clc-output", 3, true, func(src *stream.Source, opt stream.Options) error {
+			p := clcPipe
+			p.Options = opt
+			_, err := p.Run(src, io.Discard, init, fin)
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			in := &countingReaderAt{r: bytes.NewReader(data)}
+			fs := &countingFS{fs: faultinject.NewFS(-1)}
+			src, err := stream.NewSource(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.run(src, stream.Options{SpillFS: fs}); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := in.n.Load(), int64(len(data))+(tc.passes-1)*eventBytes; got != want {
+				t.Errorf("read %d input bytes (%.3f x the trace), want %d: the index pass and %d sweeps of the events", got, float64(got)/float64(len(data)), want, tc.passes-1)
+			}
+			written, read := fs.written.Load(), fs.read.Load()
+			if tc.spill && written != 8*src.Events() {
+				t.Errorf("spilled %d bytes, want one float64 per event (%d)", written, 8*src.Events())
+			}
+			if !tc.spill && written != 0 {
+				t.Errorf("spilled %d bytes in a job with no CLC stage", written)
+			}
+			if read != written {
+				t.Errorf("read %d spill bytes back, wrote %d: each spill file must be read exactly once", read, written)
+			}
+		})
+	}
+}

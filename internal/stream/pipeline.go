@@ -150,7 +150,7 @@ func (p Pipeline) runContext(ctx context.Context, src *Source, out io.Writer, in
 		}
 		defer spills.Close()
 		acct := newAccounting(src.Ranks(), opt, &res.Stats)
-		clcS, err := newCLCSink(src.Ranks(), opts, acct, &res.CLCReport, spills)
+		clcS, err := newCLCSink(src.Ranks(), opts, acct, &res.CLCReport, spills, src.lmin)
 		if err != nil {
 			return nil, err
 		}
@@ -158,19 +158,12 @@ func (p Pipeline) runContext(ctx context.Context, src *Source, out io.Writer, in
 			return nil, err
 		}
 		res.CLCReport.ViolationsBefore = first.violations
-
-		second := &censusSink{gamma: opts.Gamma}
-		sm := spills.mapper()
-		err = walk(ctx, src, sm, second, opt, newAccounting(src.Ranks(), opt, &res.Stats), nil)
-		if cerr := sm.close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, err
-		}
-		res.CLCReport.ViolationsAfter = second.violations
+		res.CLCReport.ViolationsAfter = clcS.violations
 		res.Before = first.raw
-		res.After = second.mapped
+		// The same walk took the After census: clcS judged every edge as
+		// its corrected times settled. Event totals are Before's.
+		res.After = clcS.after
+		res.After.TotalEvents, res.After.MessageEvents = first.raw.TotalEvents, first.raw.MessageEvents
 	} else {
 		if err := walk(ctx, src, mapper, firstSink, opt, newAccounting(src.Ranks(), opt, &res.Stats), res.Stats.Loss); err != nil {
 			return nil, err
@@ -182,50 +175,36 @@ func (p Pipeline) runContext(ctx context.Context, src *Source, out io.Writer, in
 		res.Fingerprint = fpTracker.Report()
 	}
 
-	finalMapper := func() (timeMapper, func() error) {
-		if spills != nil {
-			m := spills.mapper()
-			return m, m.close
+	// finalSweep runs one rank-major sweep under the job's final
+	// timestamps: the base mapper, or the spilled CLC times, which every
+	// sweep reads once, front to back.
+	finalSweep := func(sweep func(timeMapper) error) error {
+		if spills == nil {
+			return sweep(mapper)
 		}
-		return mapper, func() error { return nil }
-	}
-
-	if out != nil && (opt.Workers <= 1 || src.Ranks() <= 1) {
-		// Serial output: fuse the distortion and assembly sweeps into one
-		// pass — both walk the trace rank-major calling the final mapper
-		// once per event, so a single traversal feeds the distortion
-		// accumulators and the encode stage while saving a full decode of
-		// the trace. The accumulation order, mapper call sequence, and
-		// output bytes are exactly those of the separate passes.
-		dm, closeDM := finalMapper()
-		res.Distortion, err = assembleMeasure(ctx, src, dm, out, opt)
-		if cerr := closeDM(); err == nil {
+		m := spills.mapper()
+		err := sweep(m)
+		if cerr := m.close(); err == nil {
 			err = cerr
 		}
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
+		return err
 	}
-
-	dm, closeDM := finalMapper()
-	res.Distortion, err = distortion(ctx, src, dm)
-	if cerr := closeDM(); err == nil {
-		err = cerr
+	// One sweep measures the distortion and, unless the output is
+	// assembled in parallel, feeds the encoder from the same decode.
+	parallel := out != nil && opt.Workers > 1 && src.Ranks() > 1
+	fused := out
+	if parallel {
+		fused = nil
+	}
+	err = finalSweep(func(m timeMapper) (err error) {
+		res.Distortion, err = assembleMeasure(ctx, src, m, fused, opt)
+		return err
+	})
+	if err == nil && parallel {
+		err = finalSweep(func(m timeMapper) error { return assemble(ctx, src, m, out, opt) })
 	}
 	if err != nil {
 		return nil, err
-	}
-
-	if out != nil {
-		am, closeAM := finalMapper()
-		err = assemble(ctx, src, am, out, opt)
-		if cerr := closeAM(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, err
-		}
 	}
 	return res, nil
 }
@@ -251,54 +230,6 @@ func CensusContext(ctx context.Context, src *Source, opt Options) (analysis.Cens
 	return s.raw, stats, nil
 }
 
-// distortion replicates analysis.DistortionBetween over (raw, mapped)
-// timestamp pairs: one sequential rank-major sweep, so the float
-// accumulation order — and therefore every bit of MeanAbs — matches the
-// in-memory comparison.
-func distortion(ctx context.Context, src *Source, final timeMapper) (analysis.Distortion, error) {
-	var d analysis.Distortion
-	var sum float64
-	var ev trace.Event
-	ticks := 0
-	for rank := 0; rank < src.Ranks(); rank++ {
-		cur := src.Cursor(rank)
-		var prevRaw, prevFin float64
-		for idx := 0; idx < src.Procs()[rank].EventCount; idx++ {
-			if ticks&(ctxCheckEvery-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return d, err
-				}
-			}
-			ticks++
-			if err := cur.Next(&ev); err != nil {
-				return d, err
-			}
-			ft, err := final.mapTime(rank, idx, &ev)
-			if err != nil {
-				return d, err
-			}
-			if idx > 0 {
-				origIv := ev.Time - prevRaw
-				corrIv := ft - prevFin
-				delta := corrIv - origIv
-				if math.Abs(delta) > d.MaxAbs {
-					d.MaxAbs = math.Abs(delta)
-				}
-				if corrIv < origIv {
-					d.Shrunk++
-				}
-				sum += math.Abs(delta)
-				d.N++
-			}
-			prevRaw, prevFin = ev.Time, ft
-		}
-	}
-	if d.N > 0 {
-		d.MeanAbs = sum / float64(d.N)
-	}
-	return d, nil
-}
-
 // encMsg is one unit of the encode stage's input: a process header
 // opening a rank's block, or a slab of already-mapped events to append
 // to it.
@@ -311,17 +242,18 @@ type encMsg struct {
 // consuming headers and slabs in arrival order (one bounded channel, so
 // rank order is preserved) while the producer decodes and maps the next
 // slab. After a failure it keeps draining — recycling slabs — so the
-// producer never blocks, and reports the first error on res.
+// producer never blocks, and reports the first error on res. A nil ew
+// (a sweep that only measures) makes it the slab recycler and no more.
 func encodeStage(ew *trace.EventWriter, pool *slabPool, in <-chan encMsg, res chan<- error) {
 	var err error
 	for msg := range in {
 		if msg.s == nil {
-			if err == nil {
+			if ew != nil && err == nil {
 				err = ew.BeginProc(*msg.ph)
 			}
 			continue
 		}
-		if err == nil {
+		if ew != nil && err == nil {
 			for i := range msg.s.evs {
 				if werr := ew.Write(&msg.s.evs[i]); werr != nil {
 					err = werr
@@ -331,24 +263,26 @@ func encodeStage(ew *trace.EventWriter, pool *slabPool, in <-chan encMsg, res ch
 		}
 		pool.put(msg.s)
 	}
-	if err == nil {
+	if ew != nil && err == nil {
 		err = ew.Close()
 	}
 	res <- err
 }
 
-// assembleMeasure runs the fused final pass: one rank-major decode whose
-// slabs are timestamp-mapped in place, measured for distortion, and
-// handed to the concurrent encode stage. Bit-equality with the separate
-// distortion + assemble passes holds because the traversal order, the
-// mapper call per event, the float accumulation order of the distortion
-// sums, and the encoder are all identical — only the number of decode
-// passes changes.
+// assembleMeasure runs the final pass: one rank-major decode whose slabs
+// are timestamp-mapped in place, measured for distortion, and, unless out
+// is nil, handed to the concurrent encode stage. The sweep replicates
+// analysis.DistortionBetween over (raw, mapped) pairs in the in-memory
+// traversal order, so every bit of MeanAbs matches, and the encoder is
+// the one trace.Write uses, so the output bytes do too.
 func assembleMeasure(ctx context.Context, src *Source, m timeMapper, out io.Writer, opt Options) (analysis.Distortion, error) {
 	var d analysis.Distortion
-	ew, err := trace.NewEventWriter(out, src.Header())
-	if err != nil {
-		return d, err
+	var ew *trace.EventWriter
+	if out != nil {
+		var err error
+		if ew, err = trace.NewEventWriter(out, src.Header()); err != nil {
+			return d, err
+		}
 	}
 	pool := newSlabPool(opt.Batch)
 	in := make(chan encMsg, 1)
@@ -420,44 +354,18 @@ func assembleMeasure(ctx context.Context, src *Source, m timeMapper, out io.Writ
 // timestamps, through the same encoder the in-memory trace.Write uses,
 // so the bytes are identical. With workers > 1 the per-rank event blocks
 // are encoded concurrently into temp files and spliced in rank order —
-// the bytes cannot differ, only the wall time.
+// the bytes cannot differ, only the wall time; otherwise it is the fused
+// sweep with the measurement dropped.
 func assemble(ctx context.Context, src *Source, m timeMapper, out io.Writer, opt Options) error {
+	if opt.Workers <= 1 || src.Ranks() <= 1 {
+		_, err := assembleMeasure(ctx, src, m, out, opt)
+		return err
+	}
 	ew, err := trace.NewEventWriter(out, src.Header())
 	if err != nil {
 		return err
 	}
-	if opt.Workers > 1 && src.Ranks() > 1 {
-		return assembleParallel(ctx, src, m, ew, opt)
-	}
-	var ev trace.Event
-	ticks := 0
-	for rank := 0; rank < src.Ranks(); rank++ {
-		ph := src.Procs()[rank]
-		if err := ew.BeginProc(ph); err != nil {
-			return err
-		}
-		cur := src.Cursor(rank)
-		for idx := 0; idx < ph.EventCount; idx++ {
-			if ticks&(ctxCheckEvery-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			ticks++
-			if err := cur.Next(&ev); err != nil {
-				return err
-			}
-			ft, err := m.mapTime(rank, idx, &ev)
-			if err != nil {
-				return err
-			}
-			ev.SetTime(ft)
-			if err := ew.Write(&ev); err != nil {
-				return err
-			}
-		}
-	}
-	return ew.Close()
+	return assembleParallel(ctx, src, m, ew, opt)
 }
 
 // asmFS returns the temp store for parallel assembly blocks: the

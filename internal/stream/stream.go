@@ -207,14 +207,16 @@ func (l RankLoss) Any() bool {
 
 // Stats reports what a streaming run buffered and processed.
 type Stats struct {
-	// Events is the total number of events processed per pass (the
-	// maximum over passes, so it equals the trace's event count).
+	// Events is the trace's (retained) event count: every pass of a job
+	// processes each event exactly once.
 	Events int64
 	// MaxPending is the high-water mark of any single rank's pending
-	// items.
+	// items during the job's merge walk (a job makes exactly one).
 	MaxPending int
 	// SpilledEvents counts pending-item insertions beyond the window
-	// under PolicySpill (zero means the window was never exceeded).
+	// under PolicySpill during that one walk: unmatched sends, open
+	// collective records and, with CLC, look-back entries. Zero means
+	// the window was never exceeded.
 	SpilledEvents int64
 	// Loss holds one record per rank when the run salvaged a damaged
 	// trace (nil for clean strict runs).

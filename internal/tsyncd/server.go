@@ -43,6 +43,8 @@ type Config struct {
 	Tenants map[string]Quota
 	// SpillFS overrides the filesystem sessions spill reorder-window
 	// overflow to; nil selects OS temp files, exactly like the CLI.
+	// Sessions share it: each prefixes its file names with its id, and
+	// deletes its files when it ends if the FS has a Remove(name) method.
 	SpillFS stream.SpillFS
 	// Logf, when non-nil, receives one line per notable server event.
 	Logf func(format string, args ...any)
@@ -422,7 +424,7 @@ func (s *Server) run(conn net.Conn, id uint64, h Hello, pipe stream.Pipeline, tn
 	// Spill writes charge the tenant budget through the decorated FS;
 	// the session owns (and removes) its spill directory when no FS was
 	// configured.
-	qfs, spillCleanup, err := newSessionSpill(s.cfg.SpillFS, tn)
+	qfs, spillCleanup, err := newSessionSpill(s.cfg.SpillFS, tn, id)
 	if err != nil {
 		perr := errf(CodeInternal, "spill dir: %v", err)
 		s.reply(conn, fError, perr)

@@ -17,6 +17,7 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -208,6 +209,82 @@ func TestLoopbackBitIdentical(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// meetFS holds each session's first spill Create until two sessions
+// have made one, so both are mid-run on the shared FS at the same time.
+// A session is told apart by its name prefix (up to the first '-').
+type meetFS struct {
+	*faultinject.FS
+	mu   sync.Mutex
+	seen map[string]bool
+	both chan struct{}
+}
+
+func (m *meetFS) Create(name string) (io.WriteCloser, error) {
+	session, _, _ := strings.Cut(name, "-")
+	m.mu.Lock()
+	if !m.seen[session] {
+		m.seen[session] = true
+		if len(m.seen) == 2 {
+			close(m.both)
+		}
+	}
+	m.mu.Unlock()
+	<-m.both
+	return m.FS.Create(name)
+}
+
+// TestSharedSpillFS: with Config.SpillFS set, every session spills to
+// the same FS, and the engine names spill files by rank only. Two
+// concurrent sessions correcting different traces must not read each
+// other's corrected times, and must leave the FS empty.
+func TestSharedSpillFS(t *testing.T) {
+	var cs [2]*corpus
+	for i, spec := range []stream.SynthSpec{
+		{Ranks: 4, Steps: 300, CollEvery: 6, Seed: xrand.SeedAt(serverSeed, 40)},
+		{Ranks: 4, Steps: 260, CollEvery: 4, Seed: xrand.SeedAt(serverSeed, 41)},
+	} {
+		c := &corpus{name: fmt.Sprintf("trace-%d", i)}
+		c.data, _, c.hello = synthBytes(t, spec)
+		reference(t, c)
+		cs[i] = c
+	}
+	if bytes.Equal(cs[0].wantBytes, cs[1].wantBytes) {
+		t.Fatal("the two traces correct to the same bytes")
+	}
+	fs := &meetFS{FS: faultinject.NewFS(-1), seen: map[string]bool{}, both: make(chan struct{})}
+	ts := startServer(t, tsyncd.Config{MaxSessions: 2, SpillFS: fs})
+
+	var wg sync.WaitGroup
+	for i, c := range cs {
+		wg.Add(1)
+		go func(i int, c *corpus) {
+			defer wg.Done()
+			var out bytes.Buffer
+			done, err := ts.client(uint64(i)).Sync(context.Background(), c.hello, bytes.NewReader(c.data), &out)
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+				return
+			}
+			if !bytes.Equal(out.Bytes(), c.wantBytes) || done.Checksum != c.wantChecksum {
+				t.Errorf("%s: bytes (checksum %s) differ from the direct pipeline's (%s)", c.name, done.Checksum, c.wantChecksum)
+			}
+			if !resultsEqual(done.Result, c.wantResult) {
+				t.Errorf("%s: analysis result differs from the direct pipeline's", c.name)
+			}
+		}(i, c)
+	}
+	wg.Wait()
+	if err := ts.shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if creates, _ := fs.Stats(); creates != 8 {
+		t.Errorf("%d spill files created, want one per rank per session (8)", creates)
+	}
+	if n := fs.Count(); n != 0 {
+		t.Errorf("%d spill files left on the shared FS after both sessions ended", n)
 	}
 }
 

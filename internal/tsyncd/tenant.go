@@ -141,21 +141,64 @@ func (fs *osSpillFS) Open(name string) (io.ReadCloser, error) {
 	return os.Open(filepath.Join(fs.dir, name))
 }
 
-// newSessionSpill builds one session's spill FS: base when configured,
-// otherwise a fresh OS temp directory. Either way the result charges tn
-// per byte, and cleanup removes whatever the session owned — aborted
-// runs must leave the host spill-clean.
-func newSessionSpill(base stream.SpillFS, tn *tenant) (*quotaFS, func(), error) {
-	cleanup := func() {}
-	if base == nil {
-		dir, err := os.MkdirTemp("", "tsyncd-spill-")
-		if err != nil {
-			return nil, nil, err
-		}
-		base = &osSpillFS{dir: dir}
-		cleanup = func() { os.RemoveAll(dir) }
+// sessionFS gives one session its own namespace on a spill FS every
+// session shares: the engine names its files by rank only, so without
+// the prefix two concurrent sessions would write the same files. It
+// remembers what it created so the session can leave the base as it
+// found it.
+type sessionFS struct {
+	fs     stream.SpillFS
+	prefix string
+
+	mu    sync.Mutex
+	names []string
+}
+
+func (f *sessionFS) Create(name string) (io.WriteCloser, error) {
+	name = f.prefix + name
+	w, err := f.fs.Create(name)
+	if err != nil {
+		return nil, err
 	}
-	return &quotaFS{fs: base, tn: tn}, cleanup, nil
+	f.mu.Lock()
+	f.names = append(f.names, name)
+	f.mu.Unlock()
+	return w, nil
+}
+
+func (f *sessionFS) Open(name string) (io.ReadCloser, error) { return f.fs.Open(f.prefix + name) }
+
+// remove deletes the session's files when the base can delete at all
+// (stream.SpillFS itself has no such method; an FS that keeps files,
+// like a directory, is expected to offer it).
+func (f *sessionFS) remove() {
+	rm, ok := f.fs.(interface{ Remove(name string) error })
+	if !ok {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, name := range f.names {
+		_ = rm.Remove(name) // best effort, like the RemoveAll of the default directory
+	}
+	f.names = nil
+}
+
+// newSessionSpill builds session id's spill FS: its own namespace on
+// base when one is configured, otherwise a fresh OS temp directory.
+// Either way the result charges tn per byte, and cleanup removes
+// whatever the session wrote — aborted runs must leave the host
+// spill-clean.
+func newSessionSpill(base stream.SpillFS, tn *tenant, id uint64) (*quotaFS, func(), error) {
+	if base != nil {
+		sfs := &sessionFS{fs: base, prefix: fmt.Sprintf("s%d-", id)}
+		return &quotaFS{fs: sfs, tn: tn}, sfs.remove, nil
+	}
+	dir, err := os.MkdirTemp("", "tsyncd-spill-")
+	if err != nil {
+		return nil, nil, err
+	}
+	return &quotaFS{fs: &osSpillFS{dir: dir}, tn: tn}, func() { os.RemoveAll(dir) }, nil
 }
 
 // tenantFor returns the accounting record for name, creating it with
