@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-smoke microbench vet lint lint-test lint-json lint-fix-check race cover-check faults passes fingerprint replay serve figures clean
+.PHONY: all build test microbench vet lint lint-test lint-json lint-fix-check race cover-check faults passes fingerprint replay serve figures clean
 
 all: build vet lint test
 
@@ -53,37 +53,6 @@ race:
 # improving tests with `go run ./cmd/coverfloor -write`
 cover-check:
 	$(GO) run ./cmd/coverfloor
-
-# the parallel-runner and streaming evaluation: FIG7/FIG8/§V drivers at
-# workers=1 vs workers=4 with bit-identical-result verification, plus the
-# streaming pipeline cases — streaming-vs-in-memory checksum equality,
-# the 1M-event bounded-memory assertion, the batched-vs-legacy (batch=1)
-# checksum comparison with allocs/event, the stream-fingerprint overhead
-# case (observer checksum + >=90% of baseline throughput), the
-# stream-faults salvage case (recovery ratio + cross-worker determinism),
-# the replay-1m case (seeded RepCl interleavings must reproduce the
-# canonical replay checksum bit for bit), the merge-tree scale cases
-# — stream-10k (10,000 ranks under a per-rank heap budget, census equal
-# to the flat merge's) and stream-1b (a billion events in window-bounded
-# memory) — and the tsyncd-1m service case (concurrent loopback sessions
-# against a resident tsyncd, each bit-identical to stream-1m, with
-# sessions/sec and p99 latency) (see cmd/bench)
-bench:
-	$(GO) run ./cmd/bench -workers 4 -o BENCH_PR10.json
-
-# CI-sized bench: 1 rep, tiny workloads, 2 workers — still checks that
-# parallel checksums match serial, that the streaming pipeline reproduces
-# the in-memory checksums (batched and batch=1 legacy configurations),
-# that its peak heap stays window-bounded, that the fingerprint stage is
-# a pure observer within its (relaxed) throughput floor, and that the
-# stream-faults salvage case recovers >=99% deterministically, plus the
-# smoke-scaled merge-tree cases (10k ranks, 1M events) under the same
-# budgets; then one iteration of the hot-path microbenchmarks — including
-# the adversarial merge-tree interleavings — so their harness code cannot
-# rot
-bench-smoke:
-	$(GO) run ./cmd/bench -smoke -workers 2 -o BENCH_PR10.json
-	$(GO) test -run XXX -bench 'BenchmarkStreamPipeline|BenchmarkMergeTree|BenchmarkEventCodec|BenchmarkMapTimeMonotone' -benchtime=1x .
 
 # the fault-tolerance suite on its own: resync framing, salvage,
 # cancellation, and fault-injection tests under the race detector
@@ -140,4 +109,4 @@ figures:
 	$(GO) run ./cmd/ompstudy -timeline
 
 clean:
-	rm -f trace.etr trace.etr.offsets.json test_output.txt bench_output.txt BENCH_SMOKE.json cpu.pprof mem.pprof
+	rm -f trace.etr trace.etr.offsets.json test_output.txt bench_output.txt cpu.pprof mem.pprof

@@ -506,8 +506,8 @@ func BenchmarkAblationDomainCLC(b *testing.B) {
 
 // BenchmarkStreamPipeline: the full streaming correction engine
 // (interp + CLC + amortization + encode) over a synthetic binary trace,
-// the hot path cmd/bench measures at scale; reports corrected events per
-// second.
+// the hot path benchmark/cmd/tsyncbench measures at scale; reports
+// corrected events per second.
 func BenchmarkStreamPipeline(b *testing.B) {
 	var buf bytes.Buffer
 	init, fin, err := stream.Synth(stream.SynthSpec{Ranks: 4, Steps: 2000, CollEvery: 10, Seed: 7}, &buf)
@@ -636,20 +636,34 @@ func BenchmarkEventCodec(b *testing.B) {
 			Partner: int32(i % 8), Tag: int32(i % 100), Bytes: 1 << 10,
 		}
 	}
-	var raw bytes.Buffer
-	enc := trace.NewEventEncoder(&raw)
+	// a v1 process section is its events' bare encodings: everything the
+	// writer emits after the process header
+	newWriter := func(w io.Writer, count int) *trace.EventWriter {
+		ew, err := trace.NewEventWriter(w, trace.Header{ProcCount: 1})
+		if err == nil {
+			err = ew.BeginProc(trace.ProcHeader{EventCount: count})
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ew
+	}
+	var file bytes.Buffer
+	ew := newWriter(&file, n)
+	start := ew.Offset()
 	for i := range evs {
-		if err := enc.Encode(&evs[i]); err != nil {
+		if err := ew.Write(&evs[i]); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if err := enc.Flush(); err != nil {
+	if err := ew.Close(); err != nil {
 		b.Fatal(err)
 	}
-	rd := bytes.NewReader(raw.Bytes())
-	sink := trace.NewEventEncoder(io.Discard)
+	raw := file.Bytes()[start:]
+	rd := bytes.NewReader(raw)
+	sink := newWriter(io.Discard, n*b.N)
 	out := make([]trace.Event, n)
-	b.SetBytes(int64(raw.Len()))
+	b.SetBytes(int64(len(raw)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -665,7 +679,7 @@ func BenchmarkEventCodec(b *testing.B) {
 			b.Fatalf("decoded %d of %d events", got, n)
 		}
 		for j := 0; j < got; j++ {
-			if err := sink.Encode(&out[j]); err != nil {
+			if err := sink.Write(&out[j]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -7,8 +7,8 @@
 // Binary traces stream by default: the summary and census are computed
 // in memory bounded by the reorder window. The wait-state, latency, and
 // region-profile analyses accumulate floats in an order defined by the
-// in-memory trace, so they (and -json/-timeline) run on the legacy path,
-// which -legacy also forces.
+// in-memory trace, so they run on the in-memory path, which -timeline,
+// -json and JSON input select.
 package main
 
 import (
@@ -31,7 +31,6 @@ type options struct {
 	in          string
 	jsonOut     bool
 	timeline    bool
-	legacy      bool
 	window      int
 	spill       string
 	shards      int
@@ -45,8 +44,7 @@ func main() {
 	var o options
 	flag.StringVar(&o.in, "i", "trace.etr", "input trace file")
 	flag.BoolVar(&o.jsonOut, "json", false, "dump the trace as JSON to stdout (in-memory)")
-	flag.BoolVar(&o.timeline, "timeline", false, "render a message time-line of the densest second (in-memory)")
-	flag.BoolVar(&o.legacy, "legacy", false, "force the in-memory path (adds wait-state, latency, and region-profile analyses)")
+	flag.BoolVar(&o.timeline, "timeline", false, "add the wait-state, latency, and region-profile analyses and a message time-line (in-memory)")
 	flag.IntVar(&o.window, "window", 0, "streaming reorder window: max pending items per rank (0 = default 65536)")
 	flag.StringVar(&o.spill, "spill", "spill", "streaming window overflow policy: spill or error")
 	flag.IntVar(&o.shards, "shards", 0, "streaming merge-tree fan-out: sub-merges feeding the root merge (0 = automatic from the rank count, 1 = flat); results are identical for any value")
@@ -73,53 +71,6 @@ func withTimeout(o options) (context.Context, context.CancelFunc) {
 	return context.WithCancel(context.Background())
 }
 
-// printLoss reports what salvage could not recover, one line per
-// affected rank. retained carries each rank's retained event count so
-// losses can be expressed as percentages; a rank whose expected total
-// is unknowable (destroyed header) prints "?" instead of a number.
-func printLoss(rep *trace.CorruptionReport, loss []stream.RankLoss, retained []trace.ProcHeader) {
-	fmt.Printf("\nsalvage: %d incidents, %d bytes skipped", len(rep.Incidents), rep.SkippedBytes)
-	if rep.LostEvents > 0 {
-		fmt.Printf(", %d events known lost", rep.LostEvents)
-	}
-	if rep.UnknownLoss {
-		fmt.Printf(", further loss uncountable")
-	}
-	fmt.Println()
-	for _, l := range loss {
-		if !l.Any() {
-			continue
-		}
-		fmt.Printf("  rank %d:", l.Rank)
-		if l.LostEvents > 0 {
-			fmt.Printf(" %d events lost", l.LostEvents)
-			if l.Rank >= 0 && l.Rank < len(retained) {
-				if pct, ok := l.LossPct(int64(retained[l.Rank].EventCount)); ok {
-					fmt.Printf(" (%.1f%%)", pct)
-				} else {
-					fmt.Printf(" (?%%)")
-				}
-			}
-		}
-		if l.Unknown {
-			fmt.Printf(" unknown loss")
-		}
-		if l.SkippedBytes > 0 {
-			fmt.Printf(" %d bytes skipped (%d incidents)", l.SkippedBytes, l.Incidents)
-		}
-		if l.DroppedSends > 0 {
-			fmt.Printf(" %d sends dropped", l.DroppedSends)
-		}
-		if l.OrphanRecvs > 0 {
-			fmt.Printf(" %d receives orphaned", l.OrphanRecvs)
-		}
-		if l.BrokenCollectives > 0 {
-			fmt.Printf(" %d collective records broken", l.BrokenCollectives)
-		}
-		fmt.Println()
-	}
-}
-
 func printCensus(c analysis.Census) {
 	fmt.Printf("\nclock-condition census (recorded timestamps):\n")
 	fmt.Printf("  %d messages, %d reversed (%.2f%%), %d violate t_recv >= t_send + l_min\n",
@@ -129,11 +80,11 @@ func printCensus(c analysis.Census) {
 }
 
 func run(o options) (bool, error) {
-	if o.legacy || o.jsonOut || o.timeline || strings.HasSuffix(o.in, ".json") {
+	if o.jsonOut || o.timeline || strings.HasSuffix(o.in, ".json") {
 		if o.fingerprint {
-			return false, fmt.Errorf("-fingerprint needs the streaming path; it cannot combine with -legacy, -json, -timeline, or JSON input")
+			return false, fmt.Errorf("-fingerprint needs the streaming path; it cannot combine with -json, -timeline, or JSON input")
 		}
-		return false, runLegacy(o)
+		return false, runInMemory(o)
 	}
 	return runStreaming(o)
 }
@@ -168,7 +119,7 @@ func runStreaming(o options) (bool, error) {
 	if stats.SpilledEvents > 0 {
 		fmt.Printf(", %d insertions spilled past the window during it", stats.SpilledEvents)
 	}
-	fmt.Println("; run with -legacy for wait-state, latency, and region-profile analyses")
+	fmt.Println("; run with -timeline for wait-state, latency, and region-profile analyses")
 	if o.fingerprint {
 		rep, _, err := stream.FingerprintContext(ctx, src, stream.Options{Salvage: o.salvage}, fingerprint.Options{})
 		if err != nil {
@@ -180,13 +131,12 @@ func runStreaming(o options) (bool, error) {
 		}
 	}
 	if src.Salvaged() {
-		printLoss(src.Report(), stats.Loss, src.Procs())
-		return true, nil
+		return true, stream.WriteLoss(os.Stdout, src.Report(), stats.Loss, src.Procs())
 	}
 	return false, nil
 }
 
-func runLegacy(o options) error {
+func runInMemory(o options) error {
 	f, err := os.Open(o.in)
 	if err != nil {
 		return err

@@ -6,9 +6,9 @@
 //
 // Binary traces stream by default: events are decoded incrementally and
 // the corrections run online in memory bounded by the reorder window, not
-// the trace length. -legacy forces the in-memory path, which is also the
-// automatic fallback for JSON traces, -all, the error-estimation bases,
-// and CLC variants the streaming engine does not support.
+// the trace length. JSON traces, -all, the error-estimation bases, and
+// CLC variants the streaming engine does not support take the in-memory
+// path by themselves.
 package main
 
 import (
@@ -44,9 +44,7 @@ type options struct {
 	in, out, base string
 	withCLC       bool
 	all           bool
-	legacy        bool
 	window        int
-	batch         int
 	shards        int
 	spill         string
 	workers       int
@@ -66,12 +64,10 @@ func main() {
 	flag.StringVar(&o.base, "base", "interp", "base correction: none, align, interp, duda-regression, duda-convex-hull, hofmann-minmax")
 	flag.BoolVar(&o.withCLC, "clc", true, "apply the controlled logical clock after the base correction")
 	flag.BoolVar(&o.all, "all", false, "compare all correction methods instead (in-memory)")
-	flag.BoolVar(&o.legacy, "legacy", false, "force the in-memory path instead of streaming")
 	flag.IntVar(&o.window, "window", 0, "streaming reorder window: max pending items per rank (0 = default 65536)")
-	flag.IntVar(&o.batch, "batch", 0, "streaming slab size in events per stage hand-off (0 = default 4096); output is identical for any value")
 	flag.IntVar(&o.shards, "shards", 0, "streaming merge-tree fan-out: sub-merges feeding the root merge (0 = automatic from the rank count, 1 = flat); output is identical for any value")
 	flag.StringVar(&o.spill, "spill", "spill", "streaming window overflow policy: spill (unbounded, recorded) or error (fail fast)")
-	flag.IntVar(&o.workers, "workers", 0, "parallel worker bound for -all and streaming assembly (0 = all CPUs); results are identical for any value")
+	flag.IntVar(&o.workers, "workers", 0, "parallel worker bound for -all (0 = all CPUs); results are identical for any value")
 	flag.BoolVar(&o.salvage, "salvage", false, "resynchronize past corruption in v2 traces (streaming only); exits 3 when data was lost")
 	flag.Int64Var(&o.maxSkip, "max-skip", 0, "salvage budget: max bytes to skip before giving up (0 = unlimited)")
 	flag.BoolVar(&o.fingerprint, "fingerprint", false, "print the per-rank drift fingerprint alongside the correction report (streaming only)")
@@ -136,7 +132,7 @@ func run(o options) (bool, error) {
 		return false, fmt.Errorf("no %s.offsets.json sidecar: alignment/interpolation need the offset tables (generate traces with tracegen, or use -base none/duda-*/hofmann-minmax)", o.in)
 	}
 
-	if !o.legacy && !o.all && !strings.HasSuffix(o.in, ".json") {
+	if !o.all && !strings.HasSuffix(o.in, ".json") {
 		partial, err := runStreaming(o, side)
 		if err == nil || !errors.Is(err, stream.ErrUnsupported) {
 			return partial, err
@@ -144,59 +140,12 @@ func run(o options) (bool, error) {
 		fmt.Fprintf(os.Stderr, "tracesync: falling back to the in-memory path: %v\n", err)
 	}
 	if o.salvage {
-		return false, errors.New("-salvage needs the streaming path; it cannot combine with -legacy, -all, or JSON input")
+		return false, errors.New("-salvage needs the streaming path; it cannot combine with -all, JSON input, or an in-memory-only -base")
 	}
 	if o.fingerprint || o.autoknots {
-		return false, errors.New("-fingerprint and -autoknots need the streaming path; they cannot combine with -legacy, -all, or JSON input")
+		return false, errors.New("-fingerprint and -autoknots need the streaming path; they cannot combine with -all, JSON input, or an in-memory-only -base")
 	}
-	return false, runLegacy(o, side)
-}
-
-// printLoss reports what salvage could not recover, one line per
-// affected rank. retained carries each rank's retained event count so
-// losses can be expressed as percentages; a rank whose expected total
-// is unknowable (destroyed header) prints "?" instead of a number.
-func printLoss(rep *trace.CorruptionReport, loss []stream.RankLoss, retained []trace.ProcHeader) {
-	fmt.Printf("\nsalvage: %d incidents, %d bytes skipped", len(rep.Incidents), rep.SkippedBytes)
-	if rep.LostEvents > 0 {
-		fmt.Printf(", %d events known lost", rep.LostEvents)
-	}
-	if rep.UnknownLoss {
-		fmt.Printf(", further loss uncountable")
-	}
-	fmt.Println()
-	for _, l := range loss {
-		if !l.Any() {
-			continue
-		}
-		fmt.Printf("  rank %d:", l.Rank)
-		if l.LostEvents > 0 {
-			fmt.Printf(" %d events lost", l.LostEvents)
-			if l.Rank >= 0 && l.Rank < len(retained) {
-				if pct, ok := l.LossPct(int64(retained[l.Rank].EventCount)); ok {
-					fmt.Printf(" (%.1f%%)", pct)
-				} else {
-					fmt.Printf(" (?%%)")
-				}
-			}
-		}
-		if l.Unknown {
-			fmt.Printf(" unknown loss")
-		}
-		if l.SkippedBytes > 0 {
-			fmt.Printf(" %d bytes skipped (%d incidents)", l.SkippedBytes, l.Incidents)
-		}
-		if l.DroppedSends > 0 {
-			fmt.Printf(" %d sends dropped", l.DroppedSends)
-		}
-		if l.OrphanRecvs > 0 {
-			fmt.Printf(" %d receives orphaned", l.OrphanRecvs)
-		}
-		if l.BrokenCollectives > 0 {
-			fmt.Printf(" %d collective records broken", l.BrokenCollectives)
-		}
-		fmt.Println()
-	}
+	return false, runInMemory(o, side)
 }
 
 func runStreaming(o options, side sidecar) (bool, error) {
@@ -225,7 +174,7 @@ func runStreaming(o options, side sidecar) (bool, error) {
 	}
 	p := stream.Pipeline{
 		Base: b, CLC: o.withCLC,
-		Options: stream.Options{Window: o.window, Policy: policy, Workers: o.workers, Batch: o.batch, Shards: o.shards, Salvage: o.salvage},
+		Options: stream.Options{Window: o.window, Policy: policy, Shards: o.shards, Salvage: o.salvage},
 	}
 	if o.fingerprint {
 		p.Fingerprint = &fingerprint.Options{}
@@ -290,8 +239,7 @@ func runStreaming(o options, side sidecar) (bool, error) {
 		fmt.Printf("corrected trace written to %s\n", o.out)
 	}
 	if src.Salvaged() {
-		printLoss(src.Report(), res.Stats.Loss, src.Procs())
-		return true, nil
+		return true, stream.WriteLoss(os.Stdout, src.Report(), res.Stats.Loss, src.Procs())
 	}
 	return false, nil
 }
@@ -306,7 +254,7 @@ func writerOrNil(f *os.File) io.Writer {
 	return f
 }
 
-func runLegacy(o options, side sidecar) error {
+func runInMemory(o options, side sidecar) error {
 	f, err := os.Open(o.in)
 	if err != nil {
 		return err

@@ -39,8 +39,6 @@ type options struct {
 	base     string
 	withCLC  bool
 	window   int
-	batch    int
-	shards   int
 	spill    string
 	salvage  bool
 	maxSkip  int64
@@ -59,8 +57,6 @@ func main() {
 	flag.StringVar(&o.base, "base", "interp", "base correction: none, align, interp")
 	flag.BoolVar(&o.withCLC, "clc", true, "apply the controlled logical clock after the base correction")
 	flag.IntVar(&o.window, "window", 0, "streaming reorder window (0 = server default)")
-	flag.IntVar(&o.batch, "batch", 0, "streaming slab size (0 = default); output is identical for any value")
-	flag.IntVar(&o.shards, "shards", 0, "merge-tree fan-out (0 = automatic); output is identical for any value")
 	flag.StringVar(&o.spill, "spill", "spill", "window overflow policy: spill or error")
 	flag.BoolVar(&o.salvage, "salvage", false, "resynchronize past corruption in v2 traces; exits 3 when data was lost")
 	flag.Int64Var(&o.maxSkip, "max-skip", 0, "salvage budget: max bytes to skip before giving up (0 = unlimited)")
@@ -108,7 +104,7 @@ func run(o options) (bool, error) {
 
 	h := tsyncd.Hello{
 		Tenant: o.tenant, Base: o.base, CLC: o.withCLC,
-		Window: o.window, Policy: o.spill, Shards: o.shards, Batch: o.batch,
+		Window: o.window, Policy: o.spill,
 		Salvage: o.salvage, MaxSkipBytes: o.maxSkip,
 		WantTrace: o.out != "",
 		Init:      side.Init, Fin: side.Fin,

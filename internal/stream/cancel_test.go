@@ -48,45 +48,39 @@ func TestCancelPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	for _, workers := range []int{1, 4} {
-		tmp := t.TempDir()
-		t.Setenv("TMPDIR", tmp)
-		base := runtime.NumGoroutine()
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	base := runtime.NumGoroutine()
 
-		var cancel context.CancelFunc
-		hook := &faultinject.HookReaderAt{
-			R:      bytes.NewReader(data),
-			Offset: math.MaxInt64, // inert while the index pass scans the file
-			Fn:     func() { cancel() },
-		}
-		src, err := stream.NewSource(hook)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// arm the hook: the walk's cursors re-read the event sections, so
-		// the first decode to cross the middle of the file cancels the run
-		hook.Offset = int64(len(data)) / 2
-		var ctx context.Context
-		ctx, cancel = context.WithCancel(context.Background())
+	var cancel context.CancelFunc
+	hook := &faultinject.HookReaderAt{
+		R:      bytes.NewReader(data),
+		Offset: math.MaxInt64, // inert while the index pass scans the file
+		Fn:     func() { cancel() },
+	}
+	src, err := stream.NewSource(hook)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// arm the hook: the walk's cursors re-read the event sections, so
+	// the first decode to cross the middle of the file cancels the run
+	hook.Offset = int64(len(data)) / 2
+	var ctx context.Context
+	ctx, cancel = context.WithCancel(context.Background())
 
-		var out bytes.Buffer
-		_, err = (stream.Pipeline{
-			Base:    core.BaseNone,
-			CLC:     true,
-			Options: stream.Options{Workers: workers},
-		}).RunContext(ctx, src, &out, nil, nil)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers %d: want context.Canceled, got %v", workers, err)
-		}
-		cancel()
-		waitGoroutines(t, base)
-		ents, rerr := os.ReadDir(tmp)
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-		for _, e := range ents {
-			t.Errorf("workers %d: leftover spill entry after cancellation: %s", workers, e.Name())
-		}
+	var out bytes.Buffer
+	_, err = (stream.Pipeline{Base: core.BaseNone, CLC: true}).RunContext(ctx, src, &out, nil, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	cancel()
+	waitGoroutines(t, base)
+	ents, rerr := os.ReadDir(tmp)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	for _, e := range ents {
+		t.Errorf("leftover spill entry after cancellation: %s", e.Name())
 	}
 }
 
@@ -128,53 +122,53 @@ func (w *cancelWriter) Write(p []byte) (int, error) {
 	return w.out.Write(p)
 }
 
-// cancelFS cancels a context on its first Create, putting the
-// cancellation inside the parallel assembly stage.
+// cancelFS cancels a context on its first Open, putting the
+// cancellation where the final sweep starts reading the spilled times.
 type cancelFS struct {
 	*faultinject.FS
 	fn   func()
 	once *sync.Once
 }
 
-func (c cancelFS) Create(name string) (io.WriteCloser, error) {
+func (c cancelFS) Open(name string) (io.ReadCloser, error) {
 	c.once.Do(c.fn)
-	return c.FS.Create(name)
+	return c.FS.Open(name)
 }
 
-// TestCancelAssemble: cancellation that first lands during the
-// output-assembly sweep — after the analysis walk already finished —
-// still aborts with ctx.Err(), serial (fused measure+encode) and
-// parallel (per-rank temp blocks) alike.
+// TestCancelAssemble: cancellation that first lands during the final
+// sweep — after the analysis walk already finished — still aborts with
+// ctx.Err(), whether the encode side or the spill-read side trips it.
 func TestCancelAssemble(t *testing.T) {
 	path, _, _ := synthFile(t, stream.SynthSpec{
 		Ranks: 3, Steps: 3000, Seed: xrand.SeedAt(cancelSeed, 2),
 	})
 	src := openSource(t, path)
 
-	// serial: the encode stage's first header write cancels; the next
-	// slab boundary notices
+	// the encode stage's first header write cancels; the next slab
+	// boundary notices
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	w := &cancelWriter{fn: cancel}
 	_, err := (stream.Pipeline{Base: core.BaseNone}).RunContext(ctx, src, w, nil, nil)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("serial: want context.Canceled, got %v", err)
+		t.Fatalf("writer: want context.Canceled, got %v", err)
 	}
 	cancel()
 	waitGoroutines(t, base)
 
-	// parallel: the first per-rank block Create cancels; the per-event
-	// context checks in the rank workers notice
+	// the sweep's first spill-file Open cancels, under CLC so that there
+	// is a spill to read; the next slab boundary notices
 	base = runtime.NumGoroutine()
 	ctx, cancel = context.WithCancel(context.Background())
 	fs := cancelFS{FS: faultinject.NewFS(-1), fn: cancel, once: &sync.Once{}}
 	var out bytes.Buffer
 	_, err = (stream.Pipeline{
 		Base:    core.BaseNone,
-		Options: stream.Options{Workers: 4, SpillFS: fs},
+		CLC:     true,
+		Options: stream.Options{SpillFS: fs},
 	}).RunContext(ctx, src, &out, nil, nil)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("parallel: want context.Canceled, got %v", err)
+		t.Fatalf("spill read: want context.Canceled, got %v", err)
 	}
 	cancel()
 	waitGoroutines(t, base)

@@ -1,8 +1,8 @@
 package stream_test
 
 // Differential property tests pinning the streaming pipeline to the
-// in-memory one: for randomized synthetic traces, every window size and
-// worker count must yield bit-identical output event bytes, experiment
+// in-memory one: for randomized synthetic traces, every window, slab and
+// shard setting must yield bit-identical output event bytes, experiment
 // checksums, censuses, CLC reports, and distortion figures.
 
 import (
@@ -12,6 +12,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"tsync/internal/analysis"
@@ -28,7 +30,17 @@ import (
 const diffSeed = 0xd1ff5eed
 
 var diffWindows = []int{1, 16, 4096}
-var diffWorkers = []int{1, 4}
+
+// diffProcs is the GOMAXPROCS a case runs under (the k element of its
+// name): the decode-ahead, shard-merge and encode stages are goroutines,
+// and the output must not depend on how many of them run at once.
+var diffProcs = []int{1, 4}
+
+// withProcs sets GOMAXPROCS until the (sub)test ends.
+func withProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // diffBatches exercises the slab pipeline at both extremes: one-event
 // slabs (maximal stage hand-offs) and the default production size.
@@ -154,15 +166,16 @@ func TestDifferentialPipeline(t *testing.T) {
 				}
 			}
 			for _, window := range diffWindows {
-				for _, workers := range diffWorkers {
+				for _, procs := range diffProcs {
 					for _, batch := range diffBatches {
 						for _, shards := range diffShards {
-							name := fmt.Sprintf("spec%d/%s/w%d/k%d/b%d/s%d", si, pipe.name, window, workers, batch, shards)
+							name := fmt.Sprintf("spec%d/%s/w%d/k%d/b%d/s%d", si, pipe.name, window, procs, batch, shards)
 							t.Run(name, func(t *testing.T) {
+								withProcs(t, procs)
 								var out bytes.Buffer
 								p := stream.Pipeline{
 									Base: pipe.base, CLC: pipe.clc, CLCOptions: pipe.opts,
-									Options: stream.Options{Window: window, Workers: workers, Batch: batch, Shards: shards},
+									Options: stream.Options{Window: window, Batch: batch, Shards: shards},
 								}
 								res, err := p.Run(src, &out, init, fin)
 								if err != nil {
@@ -253,14 +266,12 @@ func TestDifferentialLamport(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := openSource(t, path)
-	for _, workers := range diffWorkers {
-		var out bytes.Buffer
-		if _, err := stream.LamportSchedule(src, delta, &out, stream.Options{Workers: workers}); err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		if !bytes.Equal(out.Bytes(), wantBuf.Bytes()) {
-			t.Fatalf("workers %d: Lamport schedule bytes differ", workers)
-		}
+	var out bytes.Buffer
+	if _, err := stream.LamportSchedule(src, delta, &out, stream.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), wantBuf.Bytes()) {
+		t.Fatal("Lamport schedule bytes differ")
 	}
 }
 
@@ -306,6 +317,34 @@ func TestWindowPolicyError(t *testing.T) {
 	}
 	if res.Stats.SpilledEvents != 159 || res.Stats.MaxPending != 38 {
 		t.Errorf("CLC under window 1: %d spilled events, peak %d pending; want 159 and 38", res.Stats.SpilledEvents, res.Stats.MaxPending)
+	}
+}
+
+// TestUnendedCollectiveErrorOrder: a rank that finishes with an unended
+// begin on two communicators is reported on the lower communicator, run
+// after run: the finishing rank re-checks communicators in ascending
+// order, not in map order.
+func TestUnendedCollectiveErrorOrder(t *testing.T) {
+	begin := func(tm float64, comm int32) trace.Event {
+		return trace.Event{Kind: trace.CollBegin, Op: trace.OpBarrier, Time: tm, True: tm, Comm: comm, Partner: -1}
+	}
+	tr := &trace.Trace{Procs: []trace.Proc{
+		{Rank: 0, Events: []trace.Event{begin(1, 7), begin(2, 3)}},
+		{Rank: 1, Events: []trace.Event{{Kind: trace.Enter, Time: 3, True: 3, Partner: -1}}},
+	}}
+	var buf bytes.Buffer
+	if _, err := trace.Write(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	const want = "rank 0 began collective comm 3 instance 0 but never ended it"
+	for run := 0; run < 50; run++ {
+		src, err := stream.NewSource(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := stream.Census(src, stream.Options{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("run %d: got %v, want %q", run, err, want)
+		}
 	}
 }
 

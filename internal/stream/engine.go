@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"tsync/internal/topology"
@@ -317,10 +318,9 @@ func walk(ctx context.Context, src *Source, m timeMapper, snk sink, opt Options,
 	return e.snk.flush()
 }
 
-// ctxCheckEvery is how many merge pops (or encoded events, in the
-// assembly passes) go between context checks: frequent enough that
-// cancellation lands within a slab's worth of work, rare enough that
-// the atomic load disappears in the merge cost.
+// ctxCheckEvery is how many merge pops go between context checks:
+// frequent enough that cancellation lands within a slab's worth of work,
+// rare enough that the atomic load disappears in the merge cost.
 const ctxCheckEvery = 1024
 
 // lossAt returns the rank's loss record, or a discard slot when the
@@ -426,13 +426,20 @@ func sortedRanks[V any](m map[int]V) []int {
 
 // finishRank records a rank's exhaustion: the sink's rankDone callback
 // fires, then every communicator's open instances are re-checked — a
-// finished rank can complete instances it will never join.
+// finished rank can complete instances it will never join. Communicators
+// go in ascending order, so the finalization order across them and which
+// "never ended" error surfaces do not depend on map order.
 func (e *engine) finishRank(r int) error {
 	e.done[r] = true
 	if err := e.snk.rankDone(r); err != nil {
 		return err
 	}
+	comms := make([]int32, 0, len(e.open))
 	for comm := range e.open {
+		comms = append(comms, comm)
+	}
+	slices.Sort(comms)
+	for _, comm := range comms {
 		if err := e.completeInstances(comm); err != nil {
 			return err
 		}
@@ -751,7 +758,12 @@ func (e *engine) completeInstances(comm int32) error {
 				return err
 			}
 		}
-		for r := range ins.ends {
+		// every end has a begin (process turns the others away), so the
+		// begin order walks the ends ascending too, without a sort
+		for _, r := range ins.beginOrder() {
+			if !ins.ends[r] {
+				continue
+			}
 			if err := e.acct.add(r, -1); err != nil {
 				return err
 			}

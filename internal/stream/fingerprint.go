@@ -14,7 +14,7 @@ import (
 // cannot change any other pipeline output (the differential tests pin
 // that down). Determinism comes for free — the merge walk is
 // sequential and delivers each rank's events in file order regardless
-// of Workers or Batch, and the tracker is a pure fold over those
+// of Batch or Shards, and the tracker is a pure fold over those
 // per-rank sequences.
 type fingerprintSink struct {
 	tr *fingerprint.Tracker

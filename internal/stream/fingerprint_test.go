@@ -32,8 +32,8 @@ func fpSpec(seed uint64) stream.SynthSpec {
 	}
 }
 
-// TestFingerprintDeterminism: workers {1,4} × batch {1,4096} must all
-// produce the reference report bit for bit, with identical output
+// TestFingerprintDeterminism: batch {1,4096} must both produce the
+// reference report bit for bit, with identical output
 // bytes, and the standalone Fingerprint pass must agree with the
 // pipeline stage.
 func TestFingerprintDeterminism(t *testing.T) {
@@ -50,28 +50,23 @@ func TestFingerprintDeterminism(t *testing.T) {
 	}
 
 	var refOut []byte
-	for _, workers := range []int{1, 4} {
-		for _, batch := range []int{1, 4096} {
-			p := stream.Pipeline{
-				Fingerprint: &fpo,
-				Options:     stream.Options{Workers: workers, Batch: batch},
-			}
-			var out bytes.Buffer
-			res, err := p.Run(openSource(t, path), &out, init, fin)
-			if err != nil {
-				t.Fatalf("workers=%d batch=%d: %v", workers, batch, err)
-			}
-			if res.Fingerprint == nil {
-				t.Fatalf("workers=%d batch=%d: no fingerprint report", workers, batch)
-			}
-			if !reflect.DeepEqual(res.Fingerprint, refRep) {
-				t.Errorf("workers=%d batch=%d: fingerprint report differs from the standalone pass", workers, batch)
-			}
-			if refOut == nil {
-				refOut = out.Bytes()
-			} else if !bytes.Equal(refOut, out.Bytes()) {
-				t.Errorf("workers=%d batch=%d: output bytes differ", workers, batch)
-			}
+	for _, batch := range []int{1, 4096} {
+		p := stream.Pipeline{Fingerprint: &fpo, Options: stream.Options{Batch: batch}}
+		var out bytes.Buffer
+		res, err := p.Run(openSource(t, path), &out, init, fin)
+		if err != nil {
+			t.Fatalf("batch=%d: %v", batch, err)
+		}
+		if res.Fingerprint == nil {
+			t.Fatalf("batch=%d: no fingerprint report", batch)
+		}
+		if !reflect.DeepEqual(res.Fingerprint, refRep) {
+			t.Errorf("batch=%d: fingerprint report differs from the standalone pass", batch)
+		}
+		if refOut == nil {
+			refOut = out.Bytes()
+		} else if !bytes.Equal(refOut, out.Bytes()) {
+			t.Errorf("batch=%d: output bytes differ", batch)
 		}
 	}
 }

@@ -17,13 +17,11 @@ func TestOptionsNormalize(t *testing.T) {
 		in   Options
 		want Options
 	}{
-		{"zero", Options{}, Options{Window: DefaultWindow, Workers: 1, Batch: DefaultBatch}},
-		{"negative", Options{Window: -5, Workers: -2, Batch: -1}, Options{Window: DefaultWindow, Workers: 1, Batch: DefaultBatch}},
-		{"kept", Options{Window: 7, Workers: 3, Batch: 9, Policy: PolicyError},
-			Options{Window: 7, Workers: 3, Batch: 9, Policy: PolicyError}},
-		{"worker-floor", Options{Window: 1, Workers: 0, Batch: 1}, Options{Window: 1, Workers: 1, Batch: 1}},
-		{"shards-negative", Options{Shards: -3}, Options{Window: DefaultWindow, Workers: 1, Batch: DefaultBatch}},
-		{"shards-kept", Options{Shards: 4}, Options{Window: DefaultWindow, Workers: 1, Batch: DefaultBatch, Shards: 4}},
+		{"zero", Options{}, Options{Window: DefaultWindow, Batch: DefaultBatch}},
+		{"negative", Options{Window: -5, Batch: -1}, Options{Window: DefaultWindow, Batch: DefaultBatch}},
+		{"kept", Options{Window: 7, Batch: 9, Policy: PolicyError}, Options{Window: 7, Batch: 9, Policy: PolicyError}},
+		{"shards-negative", Options{Shards: -3}, Options{Window: DefaultWindow, Batch: DefaultBatch}},
+		{"shards-kept", Options{Shards: 4}, Options{Window: DefaultWindow, Batch: DefaultBatch, Shards: 4}},
 	}
 	for _, tc := range cases {
 		if got := tc.in.Normalize(); got != tc.want {

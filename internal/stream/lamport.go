@@ -97,7 +97,6 @@ func LamportScheduleContext(ctx context.Context, src *Source, delta float64, out
 	if err := walk(ctx, src, identityMapper{}, snk, opt, newAccounting(src.Ranks(), opt, &stats), stats.Loss); err != nil {
 		return stats, err
 	}
-	m := spills.mapper()
-	defer m.close()
-	return stats, assemble(ctx, src, m, out, opt)
+	_, err = assembleMeasure(ctx, src, spills.mapper(), out, opt)
+	return stats, err
 }

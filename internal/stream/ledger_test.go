@@ -56,9 +56,6 @@ func rewalk(t *testing.T, src *Source, fs SpillFS, gamma float64, opt Options) (
 	if err := walk(context.Background(), src, m, second, opt, newAccounting(src.Ranks(), opt, &stats), nil); err != nil {
 		t.Fatalf("rewalk: %v", err)
 	}
-	if err := m.close(); err != nil {
-		t.Fatal(err)
-	}
 	return second.mapped, second.violations
 }
 

@@ -8,6 +8,7 @@ package stream_test
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"tsync/internal/faultinject"
@@ -23,16 +24,27 @@ func TestRankLossPct(t *testing.T) {
 		retained int64
 		wantPct  float64
 		wantOK   bool
+		// wantLine is what the CLIs' salvage report (WriteLoss) says of
+		// the rank; empty when the record registers no loss.
+		wantLine string
 	}{
-		{"no loss", stream.RankLoss{}, 100, 0, true},
-		{"half lost", stream.RankLoss{LostEvents: 50}, 50, 50, true},
-		{"all lost", stream.RankLoss{LostEvents: 10}, 0, 100, true},
-		{"unknown loss", stream.RankLoss{Unknown: true, LostEvents: 3}, 7, 0, false},
-		{"destroyed header: nothing retained, nothing counted", stream.RankLoss{Unknown: true}, 0, 0, false},
-		{"zero total without unknown flag", stream.RankLoss{}, 0, 0, false},
-		{"negative retained from a caller bug", stream.RankLoss{LostEvents: 5}, -5, 0, false},
+		{"no loss", stream.RankLoss{}, 100, 0, true, ""},
+		{"half lost", stream.RankLoss{LostEvents: 50}, 50, 50, true, "  rank 0: 50 events lost (50.0%)\n"},
+		{"all lost", stream.RankLoss{LostEvents: 10}, 0, 100, true, "  rank 0: 10 events lost (100.0%)\n"},
+		{"unknown loss", stream.RankLoss{Unknown: true, LostEvents: 3}, 7, 0, false, "  rank 0: 3 events lost (?%) unknown loss\n"},
+		{"destroyed header: nothing retained, nothing counted", stream.RankLoss{Unknown: true}, 0, 0, false, "  rank 0: unknown loss\n"},
+		{"zero total without unknown flag", stream.RankLoss{}, 0, 0, false, ""},
+		{"negative retained from a caller bug", stream.RankLoss{LostEvents: 5}, -5, 0, false, "  rank 0: 5 events lost (?%)\n"},
 	}
 	for _, tc := range cases {
+		var report strings.Builder
+		procs := []trace.ProcHeader{{EventCount: int(tc.retained)}}
+		if err := stream.WriteLoss(&report, &trace.CorruptionReport{}, []stream.RankLoss{tc.loss}, procs); err != nil {
+			t.Fatal(err)
+		}
+		if want := "\nsalvage: 0 incidents, 0 bytes skipped\n" + tc.wantLine; report.String() != want {
+			t.Errorf("%s: WriteLoss printed %q, want %q", tc.name, report.String(), want)
+		}
 		pct, ok := tc.loss.LossPct(tc.retained)
 		if ok != tc.wantOK || pct != tc.wantPct { //tsync:exact — guard contract: pct is exactly 0 when ok is false
 			t.Errorf("%s: LossPct(%d) = (%v, %v), want (%v, %v)", tc.name, tc.retained, pct, ok, tc.wantPct, tc.wantOK)

@@ -6,6 +6,7 @@ package stream_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"sync/atomic"
 	"testing"
@@ -126,29 +127,37 @@ func TestInputPasses(t *testing.T) {
 			return err
 		}},
 	}
+	// Every configuration: both merge shapes, and slabs that end inside a
+	// frame, read the input the same number of times.
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			in := &countingReaderAt{r: bytes.NewReader(data)}
-			fs := &countingFS{fs: faultinject.NewFS(-1)}
-			src, err := stream.NewSource(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := tc.run(src, stream.Options{SpillFS: fs}); err != nil {
-				t.Fatal(err)
-			}
-			if got, want := in.n.Load(), int64(len(data))+(tc.passes-1)*eventBytes; got != want {
-				t.Errorf("read %d input bytes (%.3f x the trace), want %d: the index pass and %d sweeps of the events", got, float64(got)/float64(len(data)), want, tc.passes-1)
-			}
-			written, read := fs.written.Load(), fs.read.Load()
-			if tc.spill && written != 8*src.Events() {
-				t.Errorf("spilled %d bytes, want one float64 per event (%d)", written, 8*src.Events())
-			}
-			if !tc.spill && written != 0 {
-				t.Errorf("spilled %d bytes in a job with no CLC stage", written)
-			}
-			if read != written {
-				t.Errorf("read %d spill bytes back, wrote %d: each spill file must be read exactly once", read, written)
+			for _, shards := range []int{0, 4} {
+				for _, batch := range []int{0, 3} {
+					t.Run(fmt.Sprintf("s%d/b%d", shards, batch), func(t *testing.T) {
+						in := &countingReaderAt{r: bytes.NewReader(data)}
+						fs := &countingFS{fs: faultinject.NewFS(-1)}
+						src, err := stream.NewSource(in)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := tc.run(src, stream.Options{SpillFS: fs, Shards: shards, Batch: batch}); err != nil {
+							t.Fatal(err)
+						}
+						if got, want := in.n.Load(), int64(len(data))+(tc.passes-1)*eventBytes; got != want {
+							t.Errorf("read %d input bytes (%.3f x the trace), want %d: the index pass and %d sweeps of the events", got, float64(got)/float64(len(data)), want, tc.passes-1)
+						}
+						written, read := fs.written.Load(), fs.read.Load()
+						if tc.spill && written != 8*src.Events() {
+							t.Errorf("spilled %d bytes, want one float64 per event (%d)", written, 8*src.Events())
+						}
+						if !tc.spill && written != 0 {
+							t.Errorf("spilled %d bytes in a job with no CLC stage", written)
+						}
+						if read != written {
+							t.Errorf("read %d spill bytes back, wrote %d: each spill file must be read exactly once", read, written)
+						}
+					})
+				}
 			}
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"tsync/internal/analysis"
 	"tsync/internal/clc"
@@ -13,7 +12,6 @@ import (
 	"tsync/internal/fingerprint"
 	"tsync/internal/interp"
 	"tsync/internal/measure"
-	"tsync/internal/runner"
 	"tsync/internal/trace"
 )
 
@@ -175,34 +173,13 @@ func (p Pipeline) runContext(ctx context.Context, src *Source, out io.Writer, in
 		res.Fingerprint = fpTracker.Report()
 	}
 
-	// finalSweep runs one rank-major sweep under the job's final
-	// timestamps: the base mapper, or the spilled CLC times, which every
-	// sweep reads once, front to back.
-	finalSweep := func(sweep func(timeMapper) error) error {
-		if spills == nil {
-			return sweep(mapper)
-		}
-		m := spills.mapper()
-		err := sweep(m)
-		if cerr := m.close(); err == nil {
-			err = cerr
-		}
-		return err
+	// The final sweep runs under the job's final timestamps: the base
+	// mapper, or the spilled CLC times, read once, front to back.
+	final := mapper
+	if spills != nil {
+		final = spills.mapper()
 	}
-	// One sweep measures the distortion and, unless the output is
-	// assembled in parallel, feeds the encoder from the same decode.
-	parallel := out != nil && opt.Workers > 1 && src.Ranks() > 1
-	fused := out
-	if parallel {
-		fused = nil
-	}
-	err = finalSweep(func(m timeMapper) (err error) {
-		res.Distortion, err = assembleMeasure(ctx, src, m, fused, opt)
-		return err
-	})
-	if err == nil && parallel {
-		err = finalSweep(func(m timeMapper) error { return assemble(ctx, src, m, out, opt) })
-	}
+	res.Distortion, err = assembleMeasure(ctx, src, final, out, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -269,9 +246,10 @@ func encodeStage(ew *trace.EventWriter, pool *slabPool, in <-chan encMsg, res ch
 	res <- err
 }
 
-// assembleMeasure runs the final pass: one rank-major decode whose slabs
-// are timestamp-mapped in place, measured for distortion, and, unless out
-// is nil, handed to the concurrent encode stage. The sweep replicates
+// assembleMeasure is the final pass of every job that maps timestamps:
+// one rank-major decode whose slabs are timestamp-mapped in place,
+// measured for distortion, and, unless out is nil, handed to the
+// concurrent encode stage. The sweep replicates
 // analysis.DistortionBetween over (raw, mapped) pairs in the in-memory
 // traversal order, so every bit of MeanAbs matches, and the encoder is
 // the one trace.Write uses, so the output bytes do too.
@@ -348,97 +326,4 @@ func assembleMeasure(ctx context.Context, src *Source, m timeMapper, out io.Writ
 		d2.MeanAbs = sum / float64(d2.N)
 	}
 	return d2, nil
-}
-
-// assemble writes the output trace: src's events with their mapped
-// timestamps, through the same encoder the in-memory trace.Write uses,
-// so the bytes are identical. With workers > 1 the per-rank event blocks
-// are encoded concurrently into temp files and spliced in rank order —
-// the bytes cannot differ, only the wall time; otherwise it is the fused
-// sweep with the measurement dropped.
-func assemble(ctx context.Context, src *Source, m timeMapper, out io.Writer, opt Options) error {
-	if opt.Workers <= 1 || src.Ranks() <= 1 {
-		_, err := assembleMeasure(ctx, src, m, out, opt)
-		return err
-	}
-	ew, err := trace.NewEventWriter(out, src.Header())
-	if err != nil {
-		return err
-	}
-	return assembleParallel(ctx, src, m, ew, opt)
-}
-
-// asmFS returns the temp store for parallel assembly blocks: the
-// injected SpillFS when one is set (with a cleanup that closes nothing —
-// the FS owner removes its files), or a dedicated OS temp directory.
-func asmFS(opt Options) (SpillFS, func(), error) {
-	if opt.SpillFS != nil {
-		return opt.SpillFS, func() {}, nil
-	}
-	fs, err := newOSFS()
-	if err != nil {
-		return nil, nil, err
-	}
-	return fs, func() { os.RemoveAll(fs.dir) }, nil
-}
-
-func assembleParallel(ctx context.Context, src *Source, m timeMapper, ew *trace.EventWriter, opt Options) error {
-	fs, cleanup, err := asmFS(opt)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	names, err := runner.Map(runner.New(opt.Workers), src.Ranks(), func(rank int) (string, error) {
-		name := fmt.Sprintf("asm%06d.e", rank)
-		f, err := fs.Create(name)
-		if err != nil {
-			return "", err
-		}
-		defer f.Close()
-		enc := trace.NewEventEncoder(f)
-		cur := src.Cursor(rank)
-		var ev trace.Event
-		for idx := 0; idx < src.Procs()[rank].EventCount; idx++ {
-			if idx&(ctxCheckEvery-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return "", err
-				}
-			}
-			if err := cur.Next(&ev); err != nil {
-				return "", err
-			}
-			ft, err := m.mapTime(rank, idx, &ev)
-			if err != nil {
-				return "", err
-			}
-			ev.SetTime(ft)
-			if err := enc.Encode(&ev); err != nil {
-				return "", err
-			}
-		}
-		if err := enc.Flush(); err != nil {
-			return "", err
-		}
-		return name, f.Close()
-	})
-	if err != nil {
-		return err
-	}
-	for rank, name := range names {
-		if err := ew.BeginProc(src.Procs()[rank]); err != nil {
-			return err
-		}
-		f, err := fs.Open(name)
-		if err != nil {
-			return err
-		}
-		err = ew.CopyEvents(f, src.Procs()[rank].EventCount)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return ew.Close()
 }

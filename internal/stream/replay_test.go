@@ -59,11 +59,10 @@ func TestReplayStampMatchesInMemory(t *testing.T) {
 
 			for _, opt := range []stream.Options{
 				{},
-				{Workers: 4},
 				{Batch: 7},
-				{Window: 64, Workers: 2, Batch: 3},
+				{Window: 64, Batch: 3},
 				{Shards: 4},
-				{Window: 64, Workers: 4, Batch: 3, Shards: 4},
+				{Window: 64, Batch: 3, Shards: 4},
 			} {
 				src, err := stream.NewSource(bytes.NewReader(data))
 				if err != nil {
@@ -126,7 +125,7 @@ func TestReplayStampSalvaged(t *testing.T) {
 	if first.Events != total {
 		t.Fatalf("stamped %d events, source retains %d", first.Events, total)
 	}
-	for _, opt := range []stream.Options{{Workers: 4}, {Batch: 5, Workers: 2}, {Shards: 4}, {Batch: 5, Workers: 4, Shards: 4}} {
+	for _, opt := range []stream.Options{{Batch: 5}, {Shards: 4}, {Batch: 5, Shards: 4}} {
 		got := run(opt)
 		if got.Checksum != first.Checksum || got.Events != first.Events || got.EpochSkew != first.EpochSkew {
 			t.Fatalf("salvaged stamping diverged across configs: %+v vs %+v", got, first)

@@ -69,10 +69,11 @@ func TestSalvageCleanIdentity(t *testing.T) {
 	}
 	var want []byte
 	for _, v := range variants {
-		for _, workers := range []int{1, 4} {
+		for _, procs := range diffProcs {
 			for _, window := range []int{1, 4096} {
 				for _, shards := range []int{1, 4} {
-					t.Run(fmt.Sprintf("%s/k%d/w%d/s%d", v.name, workers, window, shards), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/k%d/w%d/s%d", v.name, procs, window, shards), func(t *testing.T) {
+						withProcs(t, procs)
 						src, err := stream.NewSourceOpts(bytes.NewReader(v.data), v.opt)
 						if err != nil {
 							t.Fatal(err)
@@ -84,7 +85,7 @@ func TestSalvageCleanIdentity(t *testing.T) {
 						res, err := (stream.Pipeline{
 							Base:    core.BaseNone,
 							CLC:     true,
-							Options: stream.Options{Workers: workers, Window: window, Salvage: v.opt.Salvage, Shards: shards},
+							Options: stream.Options{Window: window, Salvage: v.opt.Salvage, Shards: shards},
 						}).Run(src, &out, nil, nil)
 						if err != nil {
 							t.Fatal(err)
@@ -108,7 +109,7 @@ func TestSalvageCleanIdentity(t *testing.T) {
 
 // TestSalvageDeterministic: the same corruption seed must produce the
 // same corruption report, the same per-rank losses, and bit-identical
-// salvaged output at any worker count.
+// salvaged output on either merge shape.
 func TestSalvageDeterministic(t *testing.T) {
 	spec := stream.SynthSpec{
 		Ranks: 3, Steps: 200, CollEvery: 5,
@@ -125,7 +126,7 @@ func TestSalvageDeterministic(t *testing.T) {
 		loss []stream.RankLoss
 		sum  string
 	}
-	run := func(workers, shards int) runOut {
+	run := func(shards int) runOut {
 		t.Helper()
 		src := salvageSource(t, data, flips, stream.SourceOptions{Salvage: true})
 		if !src.Salvaged() {
@@ -134,38 +135,36 @@ func TestSalvageDeterministic(t *testing.T) {
 		var out bytes.Buffer
 		res, err := (stream.Pipeline{
 			Base:    core.BaseNone,
-			Options: stream.Options{Workers: workers, Shards: shards},
+			Options: stream.Options{Shards: shards},
 		}).Run(src, &out, nil, nil)
 		if err != nil {
-			t.Fatalf("workers %d shards %d: %v", workers, shards, err)
+			t.Fatalf("shards %d: %v", shards, err)
 		}
 		sum, err := experiments.ChecksumTraceFile(bytes.NewReader(out.Bytes()))
 		if err != nil {
-			t.Fatalf("workers %d shards %d: checksum: %v", workers, shards, err)
+			t.Fatalf("shards %d: checksum: %v", shards, err)
 		}
 		return runOut{rep: *src.Report(), loss: res.Stats.Loss, sum: sum}
 	}
 
-	first := run(1, 1)
+	first := run(1)
 	if len(first.rep.Incidents) == 0 {
 		t.Fatal("no incidents recorded for corrupted input")
 	}
 	if first.loss == nil {
 		t.Fatal("no loss records on a salvaged run")
 	}
-	for _, workers := range []int{1, 4} {
-		for _, shards := range []int{1, 4} {
-			for rep := 0; rep < 2; rep++ {
-				got := run(workers, shards)
-				if !reflect.DeepEqual(got.rep, first.rep) {
-					t.Fatalf("workers %d shards %d rep %d: corruption report differs:\n got %+v\nwant %+v", workers, shards, rep, got.rep, first.rep)
-				}
-				if !reflect.DeepEqual(got.loss, first.loss) {
-					t.Fatalf("workers %d shards %d rep %d: losses differ:\n got %+v\nwant %+v", workers, shards, rep, got.loss, first.loss)
-				}
-				if got.sum != first.sum {
-					t.Fatalf("workers %d shards %d rep %d: salvaged checksum %s != %s", workers, shards, rep, got.sum, first.sum)
-				}
+	for _, shards := range []int{1, 4} {
+		for rep := 0; rep < 2; rep++ {
+			got := run(shards)
+			if !reflect.DeepEqual(got.rep, first.rep) {
+				t.Fatalf("shards %d rep %d: corruption report differs:\n got %+v\nwant %+v", shards, rep, got.rep, first.rep)
+			}
+			if !reflect.DeepEqual(got.loss, first.loss) {
+				t.Fatalf("shards %d rep %d: losses differ:\n got %+v\nwant %+v", shards, rep, got.loss, first.loss)
+			}
+			if got.sum != first.sum {
+				t.Fatalf("shards %d rep %d: salvaged checksum %s != %s", shards, rep, got.sum, first.sum)
 			}
 		}
 	}
@@ -206,29 +205,16 @@ func TestSalvageRecoveryRatio(t *testing.T) {
 		t.Fatalf("salvage ratio %.4f < 0.99", ratio)
 	}
 
-	var sums []string
-	for _, workers := range []int{1, 4} {
-		var out bytes.Buffer
-		res, err := (stream.Pipeline{
-			Base:    core.BaseNone,
-			CLC:     true,
-			Options: stream.Options{Workers: workers},
-		}).Run(src, &out, nil, nil)
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		if res.CLCReport.ViolationsAfter != 0 {
-			t.Errorf("workers %d: %d clock-condition violations remain on retained events",
-				workers, res.CLCReport.ViolationsAfter)
-		}
-		sum, err := experiments.ChecksumTraceFile(bytes.NewReader(out.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sums = append(sums, sum)
+	var out bytes.Buffer
+	res, err := (stream.Pipeline{Base: core.BaseNone, CLC: true}).Run(src, &out, nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sums[0] != sums[1] {
-		t.Fatalf("salvaged output differs across worker counts: %s vs %s", sums[0], sums[1])
+	if res.CLCReport.ViolationsAfter != 0 {
+		t.Errorf("%d clock-condition violations remain on retained events", res.CLCReport.ViolationsAfter)
+	}
+	if _, err := experiments.ChecksumTraceFile(bytes.NewReader(out.Bytes())); err != nil {
+		t.Fatalf("salvaged output does not read back: %v", err)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"tsync/internal/interp"
 	"tsync/internal/trace"
@@ -33,8 +32,7 @@ func (identityMapper) mapTime(_, _ int, ev *trace.Event) (float64, error) { retu
 // instead of a binary search per event. The cursor falls back to the
 // exact search whenever a time regresses — including the restart between
 // passes that share one mapper — so its values are bit-identical to the
-// in-memory Correction.Apply on every input. Concurrent per-rank use
-// (assembleParallel) is safe: the cursor state is per-rank.
+// in-memory Correction.Apply on every input.
 type corrMapper struct{ cur *interp.MonotoneCursor }
 
 func newCorrMapper(c *interp.Correction) corrMapper {
@@ -45,12 +43,12 @@ func (m corrMapper) mapTime(rank, _ int, ev *trace.Event) (float64, error) {
 	return m.cur.Map(rank, ev.Time), nil
 }
 
-// SpillFS is where the pipeline parks its temporary per-rank streams
-// (finalized CLC timestamps, parallel-assembly event blocks). The
-// default implementation is an OS temp directory the pipeline removes
-// when done; tests substitute fault-injecting implementations to
-// exercise ENOSPC-style failures on the spill path. Create and Open may
-// be called from multiple goroutines for different names.
+// SpillFS is where the pipeline parks its temporary per-rank streams of
+// finalized timestamps. The default implementation is an OS temp
+// directory the pipeline removes when done; tests substitute
+// fault-injecting implementations to exercise ENOSPC-style failures on
+// the spill path. One job calls it from one goroutine; an FS shared by
+// concurrent jobs (tsyncd's Config.SpillFS) sees their calls interleave.
 type SpillFS interface {
 	Create(name string) (io.WriteCloser, error)
 	Open(name string) (io.ReadCloser, error)
@@ -83,13 +81,14 @@ func (fs *osFS) Open(name string) (io.ReadCloser, error) {
 // idempotent: whatever path a run takes out of the pipeline — success,
 // decode error, cancellation — the deferred Close closes every
 // outstanding handle and, when the set owns its directory, removes it.
-// No abort path may leak a temp file or descriptor.
+// No abort path may leak a temp file or descriptor. The set belongs to
+// the goroutine running the job: sinks write and the final sweep reads
+// from it alone, so nothing here locks.
 type spillSet struct {
 	fs    SpillFS
 	owned *osFS // non-nil when the set created (and must remove) the dir
 	names []string
 
-	mu      sync.Mutex
 	handles []*spillHandle
 	closed  bool
 }
@@ -116,13 +115,10 @@ func newSpillSet(ranks int, fs SpillFS) (*spillSet, error) {
 // it without double-close errors.
 type spillHandle struct {
 	c      io.Closer
-	mu     sync.Mutex
 	closed bool
 }
 
 func (h *spillHandle) Close() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.closed {
 		return nil
 	}
@@ -134,8 +130,6 @@ func (h *spillHandle) Close() error {
 // closed (a late Create after abort would otherwise leak).
 func (s *spillSet) track(c io.Closer) (*spillHandle, error) {
 	h := &spillHandle{c: c}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
 		c.Close()
 		return nil, fmt.Errorf("stream: spill set already closed")
@@ -147,21 +141,17 @@ func (s *spillSet) track(c io.Closer) (*spillHandle, error) {
 // Close closes every outstanding handle and removes the owned directory.
 // It is idempotent and safe to defer alongside normal close paths.
 func (s *spillSet) Close() error {
-	s.mu.Lock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
-	handles := s.handles
-	s.handles = nil
-	s.mu.Unlock()
 	var err error
-	for _, h := range handles {
+	for _, h := range s.handles {
 		if cerr := h.Close(); err == nil {
 			err = cerr
 		}
 	}
+	s.handles = nil
 	if s.owned != nil {
 		if rerr := os.RemoveAll(s.owned.dir); err == nil {
 			err = rerr
@@ -208,25 +198,21 @@ func (w *spillWriter) close() error {
 }
 
 // spillMapper replays a spillSet as a timeMapper: each rank's floats are
-// read sequentially, one per event.
+// read sequentially, one per event. The set tracks the files it opens and
+// closes them with everything else.
 type spillMapper struct {
 	set     *spillSet
 	readers []*bufio.Reader
-	handles []*spillHandle
 	next    []int
-	// scratch holds one read buffer per rank (not one shared one):
-	// assembleParallel maps different ranks from different goroutines,
-	// and a per-rank slot keeps that race-free and allocation-free.
-	scratch [][8]byte
+	// scratch keeps the read allocation-free, as in spillWriter.
+	scratch [8]byte
 }
 
 func (s *spillSet) mapper() *spillMapper {
 	return &spillMapper{
 		set:     s,
 		readers: make([]*bufio.Reader, len(s.names)),
-		handles: make([]*spillHandle, len(s.names)),
 		next:    make([]int, len(s.names)),
-		scratch: make([][8]byte, len(s.names)),
 	}
 }
 
@@ -236,32 +222,18 @@ func (m *spillMapper) mapTime(rank, idx int, _ *trace.Event) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		h, err := m.set.track(f)
-		if err != nil {
+		if _, err := m.set.track(f); err != nil {
 			return 0, err
 		}
-		m.handles[rank] = h
 		m.readers[rank] = bufio.NewReader(f)
 	}
 	if idx != m.next[rank] {
 		return 0, fmt.Errorf("stream: spill read out of order: rank %d idx %d (want %d)", rank, idx, m.next[rank])
 	}
 	m.next[rank]++
-	buf := m.scratch[rank][:]
+	buf := m.scratch[:]
 	if _, err := io.ReadFull(m.readers[rank], buf); err != nil {
 		return 0, fmt.Errorf("stream: spill read rank %d idx %d: %w", rank, idx, err)
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(buf)), nil
-}
-
-func (m *spillMapper) close() error {
-	var err error
-	for _, h := range m.handles {
-		if h != nil {
-			if cerr := h.Close(); err == nil {
-				err = cerr
-			}
-		}
-	}
-	return err
 }

@@ -23,13 +23,17 @@
 // every happened-before edge, which makes that merge a topological order
 // of the happened-before graph. Traces violating it (which the simulator
 // never produces) fail with an explicit error instead of silently
-// computing garbage; the legacy in-memory path remains available for
-// them.
+// computing garbage; the in-memory path (internal/core) remains available
+// for them.
 package stream
 
 import (
 	"errors"
 	"fmt"
+	"io"
+	"strings"
+
+	"tsync/internal/trace"
 )
 
 // DefaultWindow is the per-rank reorder-window capacity (in pending
@@ -99,10 +103,6 @@ type Options struct {
 	Window int
 	// Policy selects spill-or-error behavior at the window boundary.
 	Policy Policy
-	// Workers bounds the per-rank fan-out of the output assembly pass
-	// (event re-encoding); values below 1 mean serial. The merge engine
-	// itself is sequential by design — determinism is its contract.
-	Workers int
 	// Batch is the slab size of the staged pipeline: how many events
 	// flow between the decode, merge, and encode stages per hand-off.
 	// Zero selects DefaultBatch. Batch only affects wall time, never
@@ -126,15 +126,15 @@ type Options struct {
 	// an intact source changes nothing (the tolerated conditions cannot
 	// occur there).
 	Salvage bool
-	// SpillFS overrides the filesystem used for spill and assembly temp
-	// files; nil selects OS temp directories. Tests inject fault-heavy
+	// SpillFS overrides the filesystem used for spill temp files; nil
+	// selects an OS temp directory. Tests inject fault-heavy
 	// implementations here.
 	SpillFS SpillFS
 }
 
 // Normalize clamps every tunable to its usable range: non-positive
-// Window and Batch select their defaults, non-positive Workers means
-// serial, negative Shards means automatic. All entry points normalize
+// Window and Batch select their defaults, negative Shards means
+// automatic. All entry points normalize
 // exactly once, up front, so the rest of the package can assume sane
 // values instead of re-checking per use. Shards stays zero here when
 // automatic — the concrete count depends on the source's rank count and
@@ -142,9 +142,6 @@ type Options struct {
 func (o Options) Normalize() Options {
 	if o.Window <= 0 {
 		o.Window = DefaultWindow
-	}
-	if o.Workers < 1 {
-		o.Workers = 1
 	}
 	if o.Batch <= 0 {
 		o.Batch = DefaultBatch
@@ -203,6 +200,57 @@ func (l RankLoss) LossPct(retained int64) (pct float64, ok bool) {
 func (l RankLoss) Any() bool {
 	return l.LostEvents != 0 || l.Unknown || l.SkippedBytes != 0 || l.Incidents != 0 ||
 		l.DroppedSends != 0 || l.OrphanRecvs != 0 || l.BrokenCollectives != 0
+}
+
+// WriteLoss writes the salvage report the CLIs print: the decode-side
+// totals from rep, then one line per rank that registers any loss. procs
+// carries each rank's retained event count so losses can be expressed as
+// percentages; a rank whose expected total is unknowable (destroyed
+// header) prints "?" instead of a number.
+func WriteLoss(w io.Writer, rep *trace.CorruptionReport, loss []RankLoss, procs []trace.ProcHeader) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "\nsalvage: %d incidents, %d bytes skipped", len(rep.Incidents), rep.SkippedBytes)
+	if rep.LostEvents > 0 {
+		fmt.Fprintf(&b, ", %d events known lost", rep.LostEvents)
+	}
+	if rep.UnknownLoss {
+		b.WriteString(", further loss uncountable")
+	}
+	b.WriteByte('\n')
+	for _, l := range loss {
+		if !l.Any() {
+			continue
+		}
+		fmt.Fprintf(&b, "  rank %d:", l.Rank)
+		if l.LostEvents > 0 {
+			fmt.Fprintf(&b, " %d events lost", l.LostEvents)
+			if l.Rank >= 0 && l.Rank < len(procs) {
+				if pct, ok := l.LossPct(int64(procs[l.Rank].EventCount)); ok {
+					fmt.Fprintf(&b, " (%.1f%%)", pct)
+				} else {
+					b.WriteString(" (?%)")
+				}
+			}
+		}
+		if l.Unknown {
+			b.WriteString(" unknown loss")
+		}
+		if l.SkippedBytes > 0 {
+			fmt.Fprintf(&b, " %d bytes skipped (%d incidents)", l.SkippedBytes, l.Incidents)
+		}
+		if l.DroppedSends > 0 {
+			fmt.Fprintf(&b, " %d sends dropped", l.DroppedSends)
+		}
+		if l.OrphanRecvs > 0 {
+			fmt.Fprintf(&b, " %d receives orphaned", l.OrphanRecvs)
+		}
+		if l.BrokenCollectives > 0 {
+			fmt.Fprintf(&b, " %d collective records broken", l.BrokenCollectives)
+		}
+		b.WriteByte('\n')
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // Stats reports what a streaming run buffered and processed.

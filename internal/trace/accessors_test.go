@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"tsync/internal/topology"
-	"tsync/internal/xrand"
 )
 
 func TestSetTimeWritesField(t *testing.T) {
@@ -94,76 +93,5 @@ func TestReaderWriterPositions(t *testing.T) {
 	}
 	if got := er.Offset(); got != int64(buf.Len()) {
 		t.Fatalf("reader Offset after EOF = %d, want %d", got, buf.Len())
-	}
-}
-
-func TestCopyEventsSplicesV1(t *testing.T) {
-	// pre-encode a run of events with the standalone encoder
-	rng := xrand.NewSource(3)
-	events := make([]Event, 16)
-	var enc bytes.Buffer
-	e := NewEventEncoder(&enc)
-	for i := range events {
-		events[i] = randomEvent(rng)
-		if err := e.Encode(&events[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if e.Count() != len(events) {
-		t.Fatalf("encoder Count = %d, want %d", e.Count(), len(events))
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// splice them into a writer without re-encoding
-	var buf bytes.Buffer
-	ew, err := NewEventWriter(&buf, Header{Machine: "m", Timer: "TSC", ProcCount: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ew.BeginProc(ProcHeader{Rank: 0, Clock: "TSC@0", EventCount: len(events)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ew.CopyEvents(bytes.NewReader(enc.Bytes()), len(events)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ew.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// the spliced stream must decode to the original events
-	er, err := NewEventReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ph, err := er.NextProc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ph.EventCount != len(events) {
-		t.Fatalf("EventCount = %d, want %d", ph.EventCount, len(events))
-	}
-	for i := range events {
-		var ev Event
-		if err := er.Read(&ev); err != nil {
-			t.Fatal(err)
-		}
-		if ev != events[i] {
-			t.Fatalf("event %d: %+v != %+v", i, ev, events[i])
-		}
-	}
-
-	// splicing more events than declared must fail up front
-	var buf2 bytes.Buffer
-	ew2, err := NewEventWriter(&buf2, Header{Machine: "m", Timer: "TSC", ProcCount: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ew2.BeginProc(ProcHeader{Rank: 0, Clock: "TSC@0", EventCount: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ew2.CopyEvents(bytes.NewReader(enc.Bytes()), len(events)); err == nil {
-		t.Fatal("CopyEvents beyond the declared count succeeded")
 	}
 }

@@ -116,18 +116,12 @@ func encodeN(t testing.TB, n int) ([]byte, []Event) {
 	t.Helper()
 	rng := xrand.NewSource(7)
 	evs := make([]Event, n)
-	var buf bytes.Buffer
-	enc := NewEventEncoder(&buf)
+	var buf []byte
 	for i := range evs {
 		evs[i] = randomEvent(rng)
-		if err := enc.Encode(&evs[i]); err != nil {
-			t.Fatal(err)
-		}
+		buf = appendEvent(buf, &evs[i])
 	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), evs
+	return buf, evs
 }
 
 // TestEventCodecAllocs pins the steady-state encode and decode hot paths
@@ -157,14 +151,12 @@ func TestEventCodecAllocs(t *testing.T) {
 		}
 	})
 	t.Run("encode", func(t *testing.T) {
-		enc := NewEventEncoder(io.Discard)
+		scratch := make([]byte, 0, maxEventSize)
 		ev := Event{Kind: Send, Time: 1.5, True: 2.5, Partner: 3, Tag: -7, Bytes: 1 << 16, Root: -1}
 		if avg := testing.AllocsPerRun(4000, func() {
-			if err := enc.Encode(&ev); err != nil {
-				t.Fatal(err)
-			}
+			scratch = appendEvent(scratch[:0], &ev)
 		}); avg != 0 {
-			t.Errorf("EventEncoder.Encode allocates %.2f per event, want 0", avg)
+			t.Errorf("appendEvent into a worst-case scratch allocates %.2f per event, want 0", avg)
 		}
 	})
 	t.Run("writer", func(t *testing.T) {

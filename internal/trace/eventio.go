@@ -631,40 +631,6 @@ func (ew *EventWriter) Write(ev *Event) error {
 	return nil
 }
 
-// CopyEvents splices n already-encoded events (as produced by an
-// EventEncoder) from r into the current process, without re-decoding
-// them. The caller owns the invariant that r really carries n canonical
-// event encodings.
-func (ew *EventWriter) CopyEvents(r io.Reader, n int) error {
-	if n > ew.remaining {
-		return fmt.Errorf("trace: CopyEvents of %d events exceeds the %d still declared", n, ew.remaining)
-	}
-	if ew.fw != nil {
-		// v2 needs the events re-framed and checksummed, so the splice
-		// decodes and re-adds rather than copying bytes.
-		d := NewEventDecoder(r)
-		var ev Event
-		for i := 0; i < n; i++ {
-			if err := d.Decode(&ev); err != nil {
-				return badFormat("CopyEvents", err)
-			}
-			if err := ew.fw.add(&ev); err != nil {
-				return err
-			}
-		}
-		ew.remaining -= n
-		return nil
-	}
-	if err := ew.bw.Flush(); err != nil {
-		return err
-	}
-	if _, err := io.Copy(ew.cw, r); err != nil {
-		return err
-	}
-	ew.remaining -= n
-	return nil
-}
-
 // Close flushes the stream after verifying that every declared process
 // and event was written. It does not close the underlying writer.
 func (ew *EventWriter) Close() error {
@@ -681,37 +647,6 @@ func (ew *EventWriter) Close() error {
 	}
 	return ew.bw.Flush()
 }
-
-// EventEncoder writes bare event encodings (no header) to a stream — the
-// spill-file format of internal/stream, byte-identical to the event
-// bytes inside a .etr file.
-type EventEncoder struct {
-	bw      *bufio.Writer
-	n       int
-	scratch []byte
-}
-
-// NewEventEncoder returns an encoder over w.
-func NewEventEncoder(w io.Writer) *EventEncoder {
-	return &EventEncoder{bw: bufio.NewWriter(w), scratch: make([]byte, 0, maxEventSize)}
-}
-
-// Encode appends one event. Like EventWriter.Write, it encodes into an
-// encoder-owned scratch buffer and allocates nothing per call.
-func (e *EventEncoder) Encode(ev *Event) error {
-	e.scratch = appendEvent(e.scratch[:0], ev)
-	_, err := e.bw.Write(e.scratch)
-	if err == nil {
-		e.n++
-	}
-	return err
-}
-
-// Count reports how many events have been encoded.
-func (e *EventEncoder) Count() int { return e.n }
-
-// Flush flushes buffered bytes to the underlying writer.
-func (e *EventEncoder) Flush() error { return e.bw.Flush() }
 
 // decoderBufSize sizes the decoder's read buffer: large enough that the
 // per-event Peek refill (a memmove plus a read) amortizes over a few

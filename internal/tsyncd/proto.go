@@ -109,22 +109,21 @@ func errf(code Code, format string, args ...any) *Error {
 var errMalformed = &Error{Code: CodeMalformed}
 
 // Hello is the session request: which tenant is asking, how to run the
-// pipeline, and the offset tables the base correction needs. The
-// pipeline knobs mirror cmd/tracesync's streaming flags one for one, so
-// an equal configuration is guaranteed to produce equal bytes.
+// pipeline, and the offset tables the base correction needs. Every
+// field that can change output bytes carries cmd/tracesync's flag
+// spelling, so an equal configuration produces equal bytes.
 type Hello struct {
 	Tenant string `json:"tenant"`
 	// Base names the base correction (core.ParseBase spellings).
 	Base string `json:"base"`
 	CLC  bool   `json:"clc"`
-	// Window, Policy, Shards, Batch tune the streaming engine; zero
-	// values select the same defaults as the CLI. Output is identical
-	// for any Shards/Batch, so only Window/Policy can change results
-	// (by failing instead of spilling).
+	// Window and Policy are the engine settings that can change a
+	// result (by failing instead of spilling); zero values select the
+	// same defaults as the CLI. Settings that only shape memory and wall
+	// time (slab size, merge fan-out) are the server's to choose, not a
+	// client's: a HELLO cannot size a server-side allocation.
 	Window int    `json:"window,omitempty"`
 	Policy string `json:"policy,omitempty"`
-	Shards int    `json:"shards,omitempty"`
-	Batch  int    `json:"batch,omitempty"`
 	// Salvage tolerates v2 corruption; MaxSkipBytes bounds the skip.
 	Salvage      bool  `json:"salvage,omitempty"`
 	MaxSkipBytes int64 `json:"max_skip_bytes,omitempty"`

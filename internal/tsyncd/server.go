@@ -521,9 +521,7 @@ func buildPipeline(h Hello) (stream.Pipeline, *Error) {
 		policy = p
 	}
 	pipe.CLC = h.CLC
-	pipe.Options = stream.Options{
-		Window: h.Window, Policy: policy, Shards: h.Shards, Batch: h.Batch, Salvage: h.Salvage,
-	}
+	pipe.Options = stream.Options{Window: h.Window, Policy: policy, Salvage: h.Salvage}
 	return pipe, nil
 }
 

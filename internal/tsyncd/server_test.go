@@ -212,6 +212,67 @@ func TestLoopbackBitIdentical(t *testing.T) {
 	}
 }
 
+// rawSession speaks one whole session by hand: the given HELLO payload,
+// the trace in DATA frames, EOF, then RESULT frames up to DONE.
+func rawSession(t *testing.T, addr string, hello, data []byte) ([]byte, tsyncd.Done) {
+	t.Helper()
+	conn := rawConn(t, addr)
+	defer conn.Close()
+	sendFrame(t, conn, 0x01, hello)
+	if typ, payload := readReply(t, conn); typ != 0x11 {
+		t.Fatalf("frame %#x (%q), want ACCEPT", typ, payload)
+	}
+	for len(data) > 0 {
+		n := min(32<<10, len(data))
+		sendFrame(t, conn, 0x02, data[:n])
+		data = data[n:]
+	}
+	sendFrame(t, conn, 0x03, nil)
+	var out []byte
+	for {
+		typ, payload := readReply(t, conn)
+		switch typ {
+		case 0x14:
+			out = append(out, payload...)
+		case 0x15:
+			var done tsyncd.Done
+			if err := json.Unmarshal(payload, &done); err != nil {
+				t.Fatalf("undecodable DONE %q: %v", payload, err)
+			}
+			return out, done
+		default:
+			t.Fatalf("frame %#x (%q), want RESULT or DONE", typ, payload)
+		}
+	}
+}
+
+// TestHelloCannotSizeServerBuffers: the slab size and merge fan-out are
+// not a client's to set. A HELLO still carrying the "batch" and "shards"
+// fields an older client sent, at values that would have sized a
+// terabyte slab, is served like one without them, bit-identical to the
+// direct pipeline, and the server goes on to serve the next session.
+func TestHelloCannotSizeServerBuffers(t *testing.T) {
+	data, _, h := synthBytes(t, stream.SynthSpec{Ranks: 4, Steps: 300, CollEvery: 6, Seed: xrand.SeedAt(serverSeed, 30)})
+	c := &corpus{name: "v1", data: data, hello: h}
+	reference(t, c)
+	plain, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oversized := append([]byte(`{"batch":1099511627776,"shards":1000000,`), plain[1:]...)
+
+	ts := startServer(t, tsyncd.Config{})
+	for _, hello := range [][]byte{oversized, plain} {
+		out, done := rawSession(t, ts.addr(), hello, data)
+		if !bytes.Equal(out, c.wantBytes) {
+			t.Fatalf("HELLO %.40s...: %d returned bytes differ from the direct pipeline's %d", hello, len(out), len(c.wantBytes))
+		}
+		if done.Checksum != c.wantChecksum || !resultsEqual(done.Result, c.wantResult) {
+			t.Fatalf("HELLO %.40s...: checksum %s (want %s) or analysis result differs", hello, done.Checksum, c.wantChecksum)
+		}
+	}
+}
+
 // meetFS holds each session's first spill Create until two sessions
 // have made one, so both are mid-run on the shared FS at the same time.
 // A session is told apart by its name prefix (up to the first '-').
