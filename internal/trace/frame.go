@@ -366,47 +366,52 @@ func appendColFrame(dst []byte, evs []Event) []byte {
 	for i := range evs {
 		dst = append(dst, byte(evs[i].Op))
 	}
-	for _, get := range [2]func(*Event) float64{
-		func(e *Event) float64 { return e.Time },
-		func(e *Event) float64 { return e.True },
-	} {
-		prev := math.Float64bits(get(&evs[0]))
-		dst = binary.LittleEndian.AppendUint64(dst, prev)
-		for i := 1; i < len(evs); i++ {
-			bits := math.Float64bits(get(&evs[i]))
-			dst = binary.AppendVarint(dst, int64(bits-prev))
-			prev = bits
-		}
+	prev := math.Float64bits(evs[0].Time)
+	dst = binary.LittleEndian.AppendUint64(dst, prev)
+	for i := 1; i < len(evs); i++ {
+		bits := math.Float64bits(evs[i].Time)
+		dst = binary.AppendVarint(dst, int64(bits-prev))
+		prev = bits
 	}
-	for _, get := range colFields {
+	prev = math.Float64bits(evs[0].True)
+	dst = binary.LittleEndian.AppendUint64(dst, prev)
+	for i := 1; i < len(evs); i++ {
+		bits := math.Float64bits(evs[i].True)
+		dst = binary.AppendVarint(dst, int64(bits-prev))
+		prev = bits
+	}
+	for col := 0; col < colFieldCount; col++ {
 		for i := range evs {
-			dst = binary.AppendVarint(dst, int64(get(&evs[i])))
+			dst = binary.AppendVarint(dst, int64(*colField(&evs[i], col)))
 		}
 	}
 	return dst
 }
 
-// colFields enumerates the seven varint field columns in canonical
-// (row-codec) order.
-var colFields = [7]func(*Event) int32{
-	func(e *Event) int32 { return e.Region },
-	func(e *Event) int32 { return e.Instance },
-	func(e *Event) int32 { return e.Partner },
-	func(e *Event) int32 { return e.Tag },
-	func(e *Event) int32 { return e.Bytes },
-	func(e *Event) int32 { return e.Comm },
-	func(e *Event) int32 { return e.Root },
-}
+// colFieldCount is the number of varint field columns.
+const colFieldCount = 7
 
-// colFieldSet assigns the seven field columns in the same order.
-var colFieldSet = [7]func(*Event, int32){
-	func(e *Event, v int32) { e.Region = v },
-	func(e *Event, v int32) { e.Instance = v },
-	func(e *Event, v int32) { e.Partner = v },
-	func(e *Event, v int32) { e.Tag = v },
-	func(e *Event, v int32) { e.Bytes = v },
-	func(e *Event, v int32) { e.Comm = v },
-	func(e *Event, v int32) { e.Root = v },
+// colField addresses ev's col-th varint field, the columns being in
+// canonical (row-codec) order. The switch is on a value that is constant
+// across a column's loop, so it predicts perfectly and, unlike a table
+// of accessor functions, inlines.
+func colField(ev *Event, col int) *int32 {
+	switch col {
+	case 0:
+		return &ev.Region
+	case 1:
+		return &ev.Instance
+	case 2:
+		return &ev.Partner
+	case 3:
+		return &ev.Tag
+	case 4:
+		return &ev.Bytes
+	case 5:
+		return &ev.Comm
+	default:
+		return &ev.Root
+	}
 }
 
 // parseColPayload validates and fully decodes a columnar frame payload
@@ -430,13 +435,7 @@ func parseColPayload(p []byte, colBuf []Event) (parsed, error) {
 	}
 	evs := colBuf[:c]
 	for i := range evs {
-		evs[i] = Event{}
-	}
-	for i := 0; i < c; i++ {
-		evs[i].Kind = Kind(body[i])
-	}
-	for i := 0; i < c; i++ {
-		evs[i].Op = CollOp(body[c+i])
+		evs[i] = Event{Kind: Kind(body[i]), Op: CollOp(body[c+i])}
 	}
 	body = body[2*c:]
 	for col := 0; col < 2; col++ {
@@ -445,11 +444,11 @@ func parseColPayload(p []byte, colBuf []Event) (parsed, error) {
 		}
 		bits := binary.LittleEndian.Uint64(body)
 		body = body[8:]
-		setTS := func(e *Event, b uint64) { e.Time = math.Float64frombits(b) }
-		if col == 1 {
-			setTS = func(e *Event, b uint64) { e.True = math.Float64frombits(b) }
+		if col == 0 {
+			evs[0].Time = math.Float64frombits(bits)
+		} else {
+			evs[0].True = math.Float64frombits(bits)
 		}
-		setTS(&evs[0], bits)
 		for i := 1; i < c; i++ {
 			d, k := binary.Varint(body)
 			if k <= 0 {
@@ -457,17 +456,28 @@ func parseColPayload(p []byte, colBuf []Event) (parsed, error) {
 			}
 			body = body[k:]
 			bits += uint64(d)
-			setTS(&evs[i], bits)
+			if col == 0 {
+				evs[i].Time = math.Float64frombits(bits)
+			} else {
+				evs[i].True = math.Float64frombits(bits)
+			}
 		}
 	}
-	for _, set := range colFieldSet {
+	for col := 0; col < colFieldCount; col++ {
 		for i := 0; i < c; i++ {
+			// nearly every field value is a one-byte varint: decode that
+			// case in line (it cannot be out of int32 range)
+			if len(body) > 0 && body[0] < 0x80 {
+				*colField(&evs[i], col) = int32(body[0]>>1) ^ -int32(body[0]&1)
+				body = body[1:]
+				continue
+			}
 			v, k := binary.Varint(body)
 			if k <= 0 || v > math.MaxInt32 || v < math.MinInt32 {
 				return parsed{}, errors.New("bad field column varint") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
 			}
 			body = body[k:]
-			set(&evs[i], int32(v))
+			*colField(&evs[i], col) = int32(v)
 		}
 	}
 	if len(body) != 0 {
