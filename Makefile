@@ -61,10 +61,12 @@ faults:
 	$(GO) test -race ./internal/faultinject/ ./internal/fingerprint/
 
 # the one-walk contract on its own: the pass-count pins (input bytes
-# read = 3 x trace for a CLC job, spill bytes read = written), the
-# settle-time census against the walk it replaced and against the
-# in-memory pipeline on the paper's case, and two tsyncd sessions
-# sharing one SpillFS, all under the race detector
+# read for a CLC job = 2 x trace plus one small read per block for a v2
+# file, whose index hops block heads, 3 x trace for a v1 file, whose
+# index decodes it; spill bytes read = written), the settle-time census
+# against the walk it replaced and against the in-memory pipeline on the
+# paper's case, and two tsyncd sessions sharing one SpillFS, all under
+# the race detector
 passes:
 	$(GO) test -race -run 'TestInputPasses|TestLedger|TestDifferentialPipeline|TestWindowPolicyError' ./internal/stream/
 	$(GO) test -race -run TestSharedSpillFS ./internal/tsyncd/

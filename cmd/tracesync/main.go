@@ -203,15 +203,13 @@ func runStreaming(o options, side sidecar) (bool, error) {
 	}
 	var outW *os.File
 	if o.out != "" {
-		if outW, err = os.Create(o.out); err != nil {
+		if outW, err = os.Create(partialName(o.out)); err != nil {
 			return false, err
 		}
 	}
 	res, err := p.RunContext(ctx, src, writerOrNil(outW), side.Init, side.Fin)
 	if outW != nil {
-		if cerr := outW.Close(); err == nil {
-			err = cerr
-		}
+		err = finishOutput(outW, o.out, err)
 	}
 	if err != nil {
 		return false, err
@@ -242,6 +240,29 @@ func runStreaming(o options, side sidecar) (bool, error) {
 		return true, stream.WriteLoss(os.Stdout, src.Report(), res.Stats.Loss, src.Procs())
 	}
 	return false, nil
+}
+
+// partialName is where a run writes the trace that becomes path once it
+// is whole: the same directory, so the final rename cannot cross a file
+// system.
+func partialName(path string) string { return path + ".partial" }
+
+// finishOutput closes the partial output of a run that ended with err
+// and, when both went well, renames it to path. Otherwise it removes it:
+// a failed run (window exceeded, an unmatched send, a timeout, damage a
+// later pass found in the input) must not leave something at -o that
+// looks like a result.
+func finishOutput(partial *os.File, path string, err error) error {
+	if cerr := partial.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(partial.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(partial.Name()) // the run's error is the one to report
+	}
+	return err
 }
 
 // writerOrNil keeps the nil check on the interface value honest: a nil
@@ -308,15 +329,12 @@ func runInMemory(o options, side sidecar) error {
 	printReport(res.Before, res.After, res.CLCReport, res.Distortion, o.withCLC)
 
 	if o.out != "" {
-		g, err := os.Create(o.out)
+		g, err := os.Create(partialName(o.out))
 		if err != nil {
 			return err
 		}
 		_, err = trace.Write(g, res.Trace)
-		if cerr := g.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err = finishOutput(g, o.out, err); err != nil {
 			return err
 		}
 		fmt.Printf("corrected trace written to %s\n", o.out)

@@ -19,6 +19,7 @@ import (
 	"tsync/internal/core"
 	"tsync/internal/faultinject"
 	"tsync/internal/stream"
+	"tsync/internal/trace"
 	"tsync/internal/xrand"
 )
 
@@ -175,33 +176,40 @@ func TestCancelAssemble(t *testing.T) {
 }
 
 // TestCancelSourceIndex: cancelling during the index pass aborts
-// NewSourceContext with ctx.Err(); a pre-cancelled context fails before
-// scanning any process section.
+// NewSourceContext with ctx.Err(), whether the pass decodes events (v1)
+// or hops block heads (v2, here with frames small enough that half the
+// file is many times ctxCheckEvery blocks); a pre-cancelled context fails
+// before scanning any process section.
 func TestCancelSourceIndex(t *testing.T) {
-	var buf bytes.Buffer
-	if _, _, err := stream.Synth(stream.SynthSpec{
-		Ranks: 3, Steps: 4000, CollEvery: 4, Seed: xrand.SeedAt(cancelSeed, 99),
-	}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	for name, spec := range map[string]stream.SynthSpec{
+		"v1-decode": {Ranks: 3, Steps: 4000, CollEvery: 4, Seed: xrand.SeedAt(cancelSeed, 99)},
+		"v2-hop":    {Ranks: 3, Steps: 4000, CollEvery: 4, Seed: xrand.SeedAt(cancelSeed, 99), Version: trace.Version2, Columnar: true, FrameEvents: 4},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if _, _, err := stream.Synth(spec, &buf); err != nil {
+				t.Fatal(err)
+			}
+			data := buf.Bytes()
 
-	var cancel context.CancelFunc
-	hook := &faultinject.HookReaderAt{
-		R:      bytes.NewReader(data),
-		Offset: int64(len(data)) / 2, // the index pass crosses mid-file
-		Fn:     func() { cancel() },
-	}
-	var ctx context.Context
-	ctx, cancel = context.WithCancel(context.Background())
-	defer cancel()
-	if _, err := stream.NewSourceContext(ctx, hook, stream.SourceOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-index cancel: want context.Canceled, got %v", err)
-	}
+			var cancel context.CancelFunc
+			hook := &faultinject.HookReaderAt{
+				R:      bytes.NewReader(data),
+				Offset: int64(len(data)) / 2, // the index pass crosses mid-file
+				Fn:     func() { cancel() },
+			}
+			var ctx context.Context
+			ctx, cancel = context.WithCancel(context.Background())
+			defer cancel()
+			if _, err := stream.NewSourceContext(ctx, hook, stream.SourceOptions{}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("mid-index cancel: want context.Canceled, got %v", err)
+			}
 
-	pre, cancelPre := context.WithCancel(context.Background())
-	cancelPre()
-	if _, err := stream.NewSourceContext(pre, bytes.NewReader(data), stream.SourceOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled: want context.Canceled, got %v", err)
+			pre, cancelPre := context.WithCancel(context.Background())
+			cancelPre()
+			if _, err := stream.NewSourceContext(pre, bytes.NewReader(data), stream.SourceOptions{}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("pre-cancelled: want context.Canceled, got %v", err)
+			}
+		})
 	}
 }

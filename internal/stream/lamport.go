@@ -21,10 +21,16 @@ type lamportSink struct {
 }
 
 func newLamportSink(src *Source, delta float64, spills *spillSet) (*lamportSink, error) {
+	// the schedule starts at the earliest first timestamp of any rank
 	base := math.Inf(1)
+	var first trace.Event
 	for r := 0; r < src.Ranks(); r++ {
-		if src.Procs()[r].EventCount > 0 && src.FirstTime(r) < base {
-			base = src.FirstTime(r)
+		switch err := src.Cursor(r).Next(&first); {
+		case err == io.EOF: // the rank recorded no events
+		case err != nil:
+			return nil, err
+		case first.Time < base:
+			base = first.Time
 		}
 	}
 	if math.IsInf(base, 1) {

@@ -18,15 +18,17 @@ import (
 	"tsync/internal/xrand"
 )
 
-// countingReaderAt counts the bytes ReadAt delivers.
+// countingReaderAt counts the ReadAt calls made and the bytes they
+// deliver.
 type countingReaderAt struct {
-	r io.ReaderAt
-	n atomic.Int64
+	r        io.ReaderAt
+	n, calls atomic.Int64
 }
 
 func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	n, err := c.r.ReadAt(p, off)
 	c.n.Add(int64(n))
+	c.calls.Add(1)
 	return n, err
 }
 
@@ -76,6 +78,29 @@ func (c *countingFS) Open(name string) (io.ReadCloser, error) {
 
 func TestInputPasses(t *testing.T) {
 	spec := stream.SynthSpec{Ranks: 6, Steps: 120, CollEvery: 4, Seed: xrand.SeedAt(diffSeed, 11)}
+	// v1, whose index decodes the file: the rows this test has always had
+	testInputPasses(t, spec)
+	// v2, whose index hops block heads
+	for _, columnar := range []bool{false, true} {
+		for _, fe := range []int{64, 256} {
+			name := fmt.Sprintf("v2-row/fe%d", fe)
+			if columnar {
+				name = fmt.Sprintf("v2-columnar/fe%d", fe)
+			}
+			t.Run(name, func(t *testing.T) {
+				v2 := spec
+				v2.Version, v2.Columnar, v2.FrameEvents = trace.Version2, columnar, fe
+				testInputPasses(t, v2)
+			})
+		}
+	}
+}
+
+// headScanBytes is the most the hop index reads of one block: the longest
+// block head and the longest rank/count prefix of a frame payload.
+const headScanBytes = 39
+
+func testInputPasses(t *testing.T, spec stream.SynthSpec) {
 	var buf bytes.Buffer
 	init, fin, err := stream.Synth(spec, &buf)
 	if err != nil {
@@ -84,43 +109,82 @@ func TestInputPasses(t *testing.T) {
 	data := buf.Bytes()
 	clcPipe := stream.Pipeline{Base: core.BaseInterp, CLC: true}
 
-	// The index pass reads the whole file; every later pass reads the
-	// event sections only. One cursor sweep measures those.
+	// Reading the file header costs the same whatever follows it.
 	sweep := &countingReaderAt{r: bytes.NewReader(data)}
+	er, err := trace.NewEventReader(io.NewSectionReader(sweep, 0, 1<<62))
+	if err != nil {
+		t.Fatal(err)
+	}
+	headerBytes, headerCalls := sweep.n.Load(), sweep.calls.Load()
+
+	// The index, NewSource's own header read included. A v1 file is
+	// decoded whole. A v2 file is hopped: one bounded read per block and
+	// one more for each proc block's payload, frame payloads untouched.
 	src, err := stream.NewSource(sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sweep.n.Load(); got != int64(len(data)) {
-		t.Fatalf("the index pass read %d of %d bytes", got, len(data))
+	indexBytes, indexCalls := sweep.n.Load()-headerBytes, sweep.calls.Load()-headerCalls
+	if spec.Version != trace.Version2 {
+		if indexBytes != int64(len(data)) {
+			t.Fatalf("the index pass read %d of %d bytes", indexBytes, len(data))
+		}
+	} else {
+		var blocks, procs, procBytes int64
+		for sc := trace.NewHeadScanner(bytes.NewReader(data), er.Offset()); ; blocks++ {
+			b, err := sc.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !b.Frame {
+				procs++
+				procBytes += b.End - b.Start
+			}
+		}
+		if got, want := indexCalls-headerCalls, blocks+procs; got != want {
+			t.Errorf("the hop made %d reads after the header's, want %d: one for each of %d blocks and one more for each of %d proc payloads", got, want, blocks, procs)
+		}
+		if got, most := indexBytes-headerBytes, headScanBytes*blocks+procBytes; got > most {
+			t.Errorf("the hop read %d bytes after the header's, want at most %d (%d B x %d blocks + %d B of proc blocks)", got, most, headScanBytes, blocks, procBytes)
+		}
+		if 10*indexBytes > int64(len(data)) {
+			t.Errorf("the hop read %d bytes of a %d-byte trace", indexBytes, len(data))
+		}
 	}
+
+	// Every later pass reads the event sections only. One cursor sweep
+	// measures those.
+	before := sweep.n.Load()
 	var ev trace.Event
 	for r := 0; r < src.Ranks(); r++ {
 		for cur := src.Cursor(r); cur.Next(&ev) == nil; {
 		}
 	}
-	eventBytes := sweep.n.Load() - int64(len(data))
+	eventBytes := sweep.n.Load() - before
 	if eventBytes <= 0 || eventBytes > int64(len(data)) || 100*eventBytes < 99*int64(len(data)) {
 		t.Fatalf("one cursor sweep read %d bytes of a %d-byte trace", eventBytes, len(data))
 	}
 
 	cases := []struct {
 		name   string
-		passes int64 // reads of the input, index pass included
+		sweeps int64 // reads of the event sections, after the index
 		spill  bool
 		run    func(src *stream.Source, opt stream.Options) error
 	}{
-		{"census", 2, false, func(src *stream.Source, opt stream.Options) error {
+		{"census", 1, false, func(src *stream.Source, opt stream.Options) error {
 			_, _, err := stream.Census(src, opt)
 			return err
 		}},
-		{"clc-analysis", 3, true, func(src *stream.Source, opt stream.Options) error {
+		{"clc-analysis", 2, true, func(src *stream.Source, opt stream.Options) error {
 			p := clcPipe
 			p.Options = opt
 			_, err := p.Run(src, nil, init, fin)
 			return err
 		}},
-		{"clc-output", 3, true, func(src *stream.Source, opt stream.Options) error {
+		{"clc-output", 2, true, func(src *stream.Source, opt stream.Options) error {
 			p := clcPipe
 			p.Options = opt
 			_, err := p.Run(src, io.Discard, init, fin)
@@ -143,8 +207,8 @@ func TestInputPasses(t *testing.T) {
 						if err := tc.run(src, stream.Options{SpillFS: fs, Shards: shards, Batch: batch}); err != nil {
 							t.Fatal(err)
 						}
-						if got, want := in.n.Load(), int64(len(data))+(tc.passes-1)*eventBytes; got != want {
-							t.Errorf("read %d input bytes (%.3f x the trace), want %d: the index pass and %d sweeps of the events", got, float64(got)/float64(len(data)), want, tc.passes-1)
+						if got, want := in.n.Load(), indexBytes+tc.sweeps*eventBytes; got != want {
+							t.Errorf("read %d input bytes (%.3f x the trace), want %d: the index (%d) and %d sweeps of the events", got, float64(got)/float64(len(data)), want, indexBytes, tc.sweeps)
 						}
 						written, read := fs.written.Load(), fs.read.Load()
 						if tc.spill && written != 8*src.Events() {

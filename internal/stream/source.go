@@ -27,23 +27,36 @@ type SourceOptions struct {
 
 // Source is an indexed .etr file: the header and per-process metadata
 // are held in memory (O(ranks + regions)), while events stay on disk and
-// are decoded on demand through per-rank cursors. The index is built by
-// one linear decode pass, so a corrupt or truncated file fails here with
-// trace.ErrBadFormat before any analysis starts — unless salvage is
-// enabled, in which case the damage is recorded instead and the index
-// covers exactly the events that survived.
+// are decoded on demand through per-rank cursors. How the index is built,
+// and so where a damaged file fails, depends on the format:
+//
+//   - A v2 (framed) file read strictly is indexed by hopping its block
+//     heads (hop): proc blocks are read and checksummed, frames are
+//     located and counted but their payloads not touched. Damage to the
+//     block structure (a head, a proc block, the frame counts against
+//     the declared ones, rank order, a missing rank) fails here; damage
+//     inside a frame payload fails the first cursor that decodes it,
+//     which is the first pass of any job and ahead of its first output
+//     byte. Both are trace.ErrBadFormat and name the block's byte offset.
+//   - A v1 file has no block boundaries to hop and is indexed by one
+//     linear decode (decodeIndex), so it fails here, before any analysis
+//     starts.
+//   - Under salvage the same linear decode resynchronizes instead: the
+//     damage is recorded and the index covers exactly the events that
+//     survived.
 type Source struct {
 	r     io.ReaderAt
 	head  trace.Header
 	procs []trace.ProcHeader
 	// eventOff[i] and endOff[i] bound proc i's event bytes.
 	eventOff, endOff []int64
-	// firstRaw[i] is proc i's first event Time (0 when it has none);
-	// the Lamport schedule and summary passes need it without a decode.
-	firstRaw []float64
-	events   int64
+	events           int64
 
-	version  int
+	version int
+	// hopped marks an index built from block heads: no pass has decoded
+	// the events yet, so the cursors check what decodeIndex would have
+	// (per-rank oracle-time order).
+	hopped   bool
 	pol      trace.ResyncPolicy
 	rep      trace.CorruptionReport
 	loss     []RankLoss
@@ -65,10 +78,19 @@ func NewSourceOpts(r io.ReaderAt, o SourceOptions) (*Source, error) {
 }
 
 // NewSourceContext indexes a trace readable at r under the given
-// options. The index pass is one linear decode of the whole file;
-// cancelling ctx aborts it between events (checked every ctxCheckEvery
-// events, like the streaming engine) and returns ctx.Err().
+// options: a strict v2 file by one small read per block, a v1 file or a
+// salvage run by one linear decode of the whole file (see Source).
+// Cancelling ctx aborts either between blocks or events (checked every
+// ctxCheckEvery of them, like the streaming engine) and returns
+// ctx.Err().
 func NewSourceContext(ctx context.Context, r io.ReaderAt, o SourceOptions) (*Source, error) {
+	return newSource(ctx, r, o, false)
+}
+
+// newSource is NewSourceContext; decodeOnly builds the index by linear
+// decode whatever the format, which is how the tests check hop against
+// the index it replaced.
+func newSource(ctx context.Context, r io.ReaderAt, o SourceOptions, decodeOnly bool) (*Source, error) {
 	const probe = 1 << 62 // section length; reads stop at EOF
 	pol := trace.ResyncPolicy{Enabled: o.Salvage, MaxSkipBytes: o.MaxSkipBytes, MaxSkipEvents: o.MaxSkipEvents}
 	er, err := trace.NewEventReaderOpts(io.NewSectionReader(r, 0, probe), pol)
@@ -76,34 +98,94 @@ func NewSourceContext(ctx context.Context, r io.ReaderAt, o SourceOptions) (*Sou
 		return nil, err
 	}
 	s := &Source{r: r, head: er.Header(), pol: pol, version: er.Version()}
-	s.loss = make([]RankLoss, s.head.ProcCount)
-	for i := range s.loss {
-		s.loss[i].Rank = i
+	if s.version == trace.Version2 && !o.Salvage && !decodeOnly {
+		s.hopped = true
+		err = s.hop(ctx, trace.NewHeadScanner(r, er.Offset()))
+	} else {
+		err = s.decodeIndex(ctx, er)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// hop indexes a strict v2 file from its block heads. It accepts exactly
+// the files decodeIndex accepts, given that every frame it passes over
+// later decodes cleanly, and stops like it once the last declared
+// process has its declared events.
+func (s *Source) hop(ctx context.Context, sc *trace.HeadScanner) error {
+	blocks := 0
+	next := func() (trace.ScannedBlock, error) {
+		if blocks&(ctxCheckEvery-1) == 0 {
+			if err := ctx.Err(); err != nil {
+				return trace.ScannedBlock{}, err
+			}
+		}
+		blocks++
+		return sc.Next()
+	}
+	for len(s.procs) < s.head.ProcCount {
+		b, err := next()
+		if err == io.EOF {
+			return fmt.Errorf("%w: trace declares %d processes, found %d", trace.ErrBadFormat, s.head.ProcCount, len(s.procs))
+		}
+		if err != nil {
+			return err
+		}
+		if b.Frame {
+			return fmt.Errorf("%w: block at byte %d: frame block where a process header was expected", trace.ErrBadFormat, b.Start)
+		}
+		ph := b.Proc
+		if err := s.admitRank(ph.Rank); err != nil {
+			return err
+		}
+		start, end := b.End, b.End
+		for left := ph.EventCount; left > 0; {
+			f, err := next()
+			if err != nil && err != io.EOF {
+				return err
+			}
+			if err == io.EOF || !f.Frame || f.Rank != ph.Rank {
+				return fmt.Errorf("%w: rank %d ended at byte %d with %d declared events missing", trace.ErrBadFormat, ph.Rank, end, left)
+			}
+			if f.Count > left {
+				return fmt.Errorf("%w: block at byte %d: frame of %d events exceeds the %d still declared", trace.ErrBadFormat, f.Start, f.Count, left)
+			}
+			left -= f.Count
+			end = f.End
+		}
+		s.addRank(ph, start, end, RankLoss{})
+	}
+	return nil
+}
+
+// decodeIndex indexes a v1 file, or a v2 file under salvage, by decoding
+// every event once through er.
+func (s *Source) decodeIndex(ctx context.Context, er *trace.EventReader) error {
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		ph, err := er.NextProc()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := s.admitRank(ph.Rank, o.Salvage); err != nil {
-			return nil, err
+		if err := s.admitRank(ph.Rank); err != nil {
+			return err
 		}
 		declared := ph.EventCount
 		start := er.SectionStart()
-		first := 0.0
 		prevTrue := 0.0
 		n := 0
 		var ev trace.Event
 		for {
 			if n&(ctxCheckEvery-1) == 0 {
 				if err := ctx.Err(); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			err := er.Read(&ev)
@@ -112,45 +194,30 @@ func NewSourceContext(ctx context.Context, r io.ReaderAt, o SourceOptions) (*Sou
 				break
 			}
 			if err != nil {
-				return nil, err
+				return err
 			}
-			gap := er.TookGap()
-			if n == 0 {
-				first = ev.Time
+			// a gap severs the monotonicity chain: the events on either
+			// side are each internally ordered, but the lost span between
+			// them is gone
+			if gap := er.TookGap(); n > 0 && !gap && ev.True < prevTrue {
+				return regressed(ph.Rank, n)
 			}
-			if n == 0 || gap {
-				// a gap severs the monotonicity chain: the events on
-				// either side are each internally ordered, but the lost
-				// span between them is gone
-				prevTrue = ev.True
-			} else if ev.True < prevTrue {
-				return nil, fmt.Errorf("%w: rank %d event %d: oracle time regressed", trace.ErrBadFormat, ph.Rank, n)
-			} else {
-				prevTrue = ev.True
-			}
+			prevTrue = ev.True
 			n++
-			s.events++
 		}
 		ph.EventCount = n
-		s.procs = append(s.procs, ph)
-		s.eventOff = append(s.eventOff, start)
-		s.endOff = append(s.endOff, er.Position())
-		s.firstRaw = append(s.firstRaw, first)
-		if ph.Rank < len(s.loss) {
-			l := &s.loss[ph.Rank]
-			switch {
-			case declared < 0:
-				l.Unknown = true
-			case declared > n:
-				l.LostEvents += int64(declared - n)
-			}
+		var l RankLoss
+		switch {
+		case declared < 0:
+			l.Unknown = true
+		case declared > n:
+			l.LostEvents = int64(declared - n)
 		}
+		s.addRank(ph, start, er.Position(), l)
 	}
-	// ranks missing at the tail (their headers and frames all lost)
+	// ranks missing at the tail (their headers and frames all lost);
+	// only salvage gets here with any, a strict NextProc fails instead
 	for r := len(s.procs); r < s.head.ProcCount; r++ {
-		if !o.Salvage {
-			return nil, fmt.Errorf("%w: trace declares %d processes, found %d", trace.ErrBadFormat, s.head.ProcCount, len(s.procs))
-		}
 		s.placeholderRank(r)
 	}
 	s.rep = *er.Report()
@@ -161,22 +228,25 @@ func NewSourceContext(ctx context.Context, r io.ReaderAt, o SourceOptions) (*Sou
 		}
 	}
 	s.salvaged = len(s.rep.Incidents) > 0 || s.rep.LostEvents > 0 || s.rep.UnknownLoss
-	return s, nil
+	return nil
+}
+
+// regressed is the error for a rank whose oracle time runs backwards at
+// its n-th event, from whichever pass decodes that event first.
+func regressed(rank, n int) error {
+	return fmt.Errorf("%w: rank %d event %d: oracle time regressed", trace.ErrBadFormat, rank, n)
 }
 
 // admitRank enforces that processes appear in contiguous rank order,
 // filling ranks whose sections were lost entirely with empty
 // placeholders under salvage.
-func (s *Source) admitRank(rank int, salvage bool) error {
+func (s *Source) admitRank(rank int) error {
 	next := len(s.procs)
-	if rank < next || rank >= s.head.ProcCount {
-		return fmt.Errorf("stream: proc %d has rank %d", next, rank)
-	}
 	if rank == next {
 		return nil
 	}
-	if !salvage {
-		return fmt.Errorf("stream: proc %d has rank %d", next, rank)
+	if rank < next || rank >= s.head.ProcCount || !s.pol.Enabled {
+		return fmt.Errorf("%w: proc %d has rank %d", trace.ErrBadFormat, next, rank)
 	}
 	for r := next; r < rank; r++ {
 		s.placeholderRank(r)
@@ -187,13 +257,20 @@ func (s *Source) admitRank(rank int, salvage bool) error {
 // placeholderRank stands in for a rank whose whole section was lost: no
 // events, unknown loss.
 func (s *Source) placeholderRank(r int) {
-	s.procs = append(s.procs, trace.ProcHeader{Rank: r, Clock: "?"})
-	s.eventOff = append(s.eventOff, 0)
-	s.endOff = append(s.endOff, 0)
-	s.firstRaw = append(s.firstRaw, 0)
-	if r < len(s.loss) {
-		s.loss[r].Unknown = true
-	}
+	s.addRank(trace.ProcHeader{Rank: r, Clock: "?"}, 0, 0, RankLoss{Unknown: true})
+}
+
+// addRank appends the next rank to the index: its header (EventCount the
+// count its cursors will deliver), the bounds of its event bytes and what
+// indexing it lost. The index grows with the ranks found, never with the
+// count the header declares, which no checksum covers.
+func (s *Source) addRank(ph trace.ProcHeader, start, end int64, l RankLoss) {
+	l.Rank = ph.Rank
+	s.procs = append(s.procs, ph)
+	s.eventOff = append(s.eventOff, start)
+	s.endOff = append(s.endOff, end)
+	s.loss = append(s.loss, l)
+	s.events += int64(ph.EventCount)
 }
 
 // Header returns the file header.
@@ -231,13 +308,9 @@ func (s *Source) Losses() []RankLoss {
 	return out
 }
 
-// FirstTime returns rank's first event timestamp (its raw local Time),
-// or 0 when the rank recorded no events.
-func (s *Source) FirstTime(rank int) float64 { return s.firstRaw[rank] }
-
 // eventDecoder is the per-rank section decoder: EventDecoder for v1
 // bare event bytes, FrameDecoder for v2 framed blocks. Both deliver the
-// same events the index pass retained, in the same order.
+// events the index counted, in file order.
 type eventDecoder interface {
 	Decode(*trace.Event) error
 	DecodeBatch([]trace.Event) (int, error)
@@ -247,6 +320,13 @@ type eventDecoder interface {
 type Cursor struct {
 	d         eventDecoder
 	remaining int
+
+	// A hop-indexed source has not seen its events: its cursors check
+	// each rank's oracle-time order as they decode, the first of them in
+	// place of the index pass.
+	ordered  bool
+	rank, n  int
+	prevTrue float64
 }
 
 // Cursor opens a fresh decoder over rank's events. Cursors are
@@ -254,14 +334,26 @@ type Cursor struct {
 // the cursor re-resynchronizes over the same section with the same
 // policy, so it retains exactly the events the index pass counted.
 func (s *Source) Cursor(rank int) *Cursor {
-	sec := io.NewSectionReader(s.r, s.eventOff[rank], s.endOff[rank]-s.eventOff[rank])
+	off := s.eventOff[rank]
+	sec := io.NewSectionReader(s.r, off, s.endOff[rank]-off)
 	var d eventDecoder
 	if s.version == trace.Version2 {
-		d = trace.NewFrameDecoder(sec, rank, s.pol)
+		d = trace.NewFrameDecoder(sec, off, rank, s.pol)
 	} else {
 		d = trace.NewEventDecoder(sec)
 	}
-	return &Cursor{d: d, remaining: s.procs[rank].EventCount}
+	return &Cursor{d: d, remaining: s.procs[rank].EventCount, ordered: s.hopped, rank: rank}
+}
+
+// checkOrder fails when ev, the rank's next event, is earlier in oracle
+// time than the one before it.
+func (c *Cursor) checkOrder(ev *trace.Event) error {
+	if c.n > 0 && ev.True < c.prevTrue {
+		return regressed(c.rank, c.n)
+	}
+	c.prevTrue = ev.True
+	c.n++
+	return nil
 }
 
 // Next decodes the rank's next event into ev, returning io.EOF after the
@@ -277,6 +369,9 @@ func (c *Cursor) Next(ev *trace.Event) error {
 		return err
 	}
 	c.remaining--
+	if c.ordered {
+		return c.checkOrder(ev)
+	}
 	return nil
 }
 
@@ -320,6 +415,14 @@ func (c *Cursor) fill(s *slab) error {
 	m, err := c.d.DecodeBatch(s.evs)
 	s.evs = s.evs[:m]
 	c.remaining -= m
+	if c.ordered {
+		for i := range s.evs {
+			if oerr := c.checkOrder(&s.evs[i]); oerr != nil {
+				s.evs = s.evs[:i]
+				return oerr
+			}
+		}
+	}
 	if m < n {
 		if err == nil || err == io.EOF {
 			return io.ErrUnexpectedEOF

@@ -114,7 +114,7 @@ func TestColFrameDecoder(t *testing.T) {
 	}
 	want := tr.Procs[0].Events
 
-	d := NewFrameDecoder(bytes.NewReader(data[sec:]), 0, ResyncPolicy{})
+	d := NewFrameDecoder(bytes.NewReader(data[sec:]), 0, 0, ResyncPolicy{})
 	var ev Event
 	for i := range want {
 		if err := d.Decode(&ev); err != nil {
@@ -128,7 +128,7 @@ func TestColFrameDecoder(t *testing.T) {
 		t.Fatalf("after last event: got %v, want io.EOF", err)
 	}
 
-	d = NewFrameDecoder(bytes.NewReader(data[sec:]), 0, ResyncPolicy{})
+	d = NewFrameDecoder(bytes.NewReader(data[sec:]), 0, 0, ResyncPolicy{})
 	got := make([]Event, len(want)+1)
 	n, err := d.DecodeBatch(got)
 	if n != len(want) || err != io.EOF {

@@ -97,6 +97,7 @@ type EventReader struct {
 	blk          blockReader
 	rep          CorruptionReport
 	frameEvents  []byte  // undecoded remainder of the current frame
+	frameLeft    int     // events the current row frame's count still promises
 	frameDecoded []Event // undelivered remainder of the current columnar frame
 	framePos     int
 	pending      parsed // block that ended the current section, not yet consumed
@@ -133,7 +134,7 @@ func NewEventReaderOpts(r io.Reader, pol ResyncPolicy) (*EventReader, error) {
 	}
 	ver, err := br.ReadByte()
 	if err != nil {
-		return nil, err
+		return nil, badFormat("header", err)
 	}
 	if ver != codecVersion && ver != codecVersion2 {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, ver)
@@ -377,7 +378,7 @@ func (er *EventReader) nextProcV2() (ProcHeader, error) {
 		er.frameEvents = nil
 		er.frameDecoded, er.framePos = p.decoded, 0
 	} else {
-		er.frameEvents = p.events
+		er.frameEvents, er.frameLeft = p.events, p.count
 		er.frameDecoded, er.framePos = nil, 0
 	}
 	er.sectionStart = pstart
@@ -434,6 +435,11 @@ func (er *EventReader) readV2(ev *Event) error {
 				return er.bad("frame events", errors.New("malformed event"))
 			}
 			er.frameEvents = er.frameEvents[n:]
+			er.frameLeft--
+			if !rowFrameInStep(er.frameLeft, er.frameEvents) {
+				er.frameEvents = nil
+				return er.bad("frame events", errFrameCount)
+			}
 			if er.remaining > 0 {
 				er.remaining--
 			}
@@ -480,7 +486,7 @@ func (er *EventReader) readV2(ev *Event) error {
 			if p.typ == blockColFrame {
 				er.frameDecoded, er.framePos = p.decoded, 0
 			} else {
-				er.frameEvents = p.events
+				er.frameEvents, er.frameLeft = p.events, p.count
 			}
 			continue
 		}

@@ -276,23 +276,18 @@ func parsePayload(typ byte, p []byte, deep bool, colBuf []Event) (parsed, error)
 	if typ == blockColFrame {
 		return parseColPayload(p, colBuf)
 	}
-	rank, n := binary.Uvarint(p)
-	if n <= 0 || rank > maxProcs {
-		return parsed{}, errors.New("bad frame rank") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
+	rank, count, evOff, err := parseFramePrefix(typ, p)
+	if err != nil {
+		return parsed{}, err
 	}
-	count, m := binary.Uvarint(p[n:])
-	if m <= 0 || count == 0 || count > maxFrameEvents {
-		return parsed{}, errors.New("bad frame event count") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
-	}
-	evOff := n + m
 	events := p[evOff:]
-	if int(count)*eventMinSize > len(events) {
+	if count*eventMinSize > len(events) {
 		return parsed{}, errors.New("frame too short for its event count") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
 	}
 	if deep {
 		var ev Event
 		rest := events
-		for i := uint64(0); i < count; i++ {
+		for i := 0; i < count; i++ {
 			k, ok := decodeEvent(rest, &ev)
 			if !ok {
 				return parsed{}, errors.New("malformed event in frame") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
@@ -303,7 +298,26 @@ func parsePayload(typ byte, p []byte, deep bool, colBuf []Event) (parsed, error)
 			return parsed{}, errors.New("trailing bytes after frame events") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
 		}
 	}
-	return parsed{typ: typ, rank: int(rank), count: int(count), events: events, evOff: evOff}, nil
+	return parsed{typ: typ, rank: rank, count: count, events: events, evOff: evOff}, nil
+}
+
+// parseFramePrefix decodes the rank and event count that open both frame
+// payload layouts, and reports how many bytes they occupy. It is all a
+// HeadScanner reads of a frame.
+func parseFramePrefix(typ byte, p []byte) (rank, count, n int, err error) {
+	r, n := binary.Uvarint(p)
+	if n <= 0 || r > maxProcs {
+		return 0, 0, 0, errors.New("bad frame rank") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
+	}
+	limit := uint64(maxFrameEvents)
+	if typ == blockColFrame {
+		limit = maxColFrameEvents
+	}
+	c, m := binary.Uvarint(p[n:])
+	if m <= 0 || c == 0 || c > limit {
+		return 0, 0, 0, errors.New("bad frame event count") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
+	}
+	return int(r), int(c), n + m, nil
 }
 
 // parseProcPayload decodes a proc block payload, which must be consumed
@@ -417,16 +431,11 @@ func colField(ev *Event, col int) *int32 {
 // parseColPayload validates and fully decodes a columnar frame payload
 // into colBuf (grown as needed, reused across blocks by the caller).
 func parseColPayload(p []byte, colBuf []Event) (parsed, error) {
-	rank, n := binary.Uvarint(p)
-	if n <= 0 || rank > maxProcs {
-		return parsed{}, errors.New("bad frame rank") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
+	rank, c, n, err := parseFramePrefix(blockColFrame, p)
+	if err != nil {
+		return parsed{}, err
 	}
-	count, m := binary.Uvarint(p[n:])
-	if m <= 0 || count == 0 || count > maxColFrameEvents {
-		return parsed{}, errors.New("bad frame event count") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
-	}
-	c := int(count)
-	body := p[n+m:]
+	body := p[n:]
 	if c*colEventMinSize+colFixedSize > len(body) {
 		return parsed{}, errors.New("frame too short for its event count") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
 	}
@@ -483,7 +492,7 @@ func parseColPayload(p []byte, colBuf []Event) (parsed, error) {
 	if len(body) != 0 {
 		return parsed{}, errors.New("trailing bytes after columnar frame") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
 	}
-	return parsed{typ: blockColFrame, rank: int(rank), count: c, decoded: evs}, nil
+	return parsed{typ: blockColFrame, rank: rank, count: c, decoded: evs}, nil
 }
 
 // blockReader reads v2 blocks from a buffered stream, optionally
@@ -711,6 +720,82 @@ func (b *blockReader) validateCandidate(buf []byte) (parsed, int, int, bool) {
 	return p, hlen, plen, true
 }
 
+// headScanLen is what HeadScanner reads of a block: the longest block
+// head plus the longest rank/count prefix of a frame payload.
+const headScanLen = blockHeadMax + 2*binary.MaxVarintLen64
+
+// ScannedBlock is one block as HeadScanner sees it. A proc block was
+// read whole and checksummed. Of a frame only Rank and Count were read,
+// from bytes no checksum has vouched for yet: they hold once a
+// FrameDecoder has read the frame, which verifies the CRC over the same
+// bytes.
+type ScannedBlock struct {
+	Start, End int64 // the block's byte range in the stream
+	Frame      bool
+	Rank       int        // frame: the rank its events belong to
+	Count      int        // frame: how many events it declares
+	Proc       ProcHeader // proc block: the process header
+}
+
+// HeadScanner walks a strict v2 stream from block head to block head
+// without touching frame payloads: one bounded ReadAt per block, plus one
+// for a proc block's (few dozen byte) payload. It has no resync mode —
+// finding the next block after damage needs the payload checks only a
+// blockReader makes.
+type HeadScanner struct {
+	r       io.ReaderAt
+	off     int64
+	buf     [headScanLen]byte
+	payload []byte
+}
+
+// NewHeadScanner scans the blocks of r starting at byte off, which must
+// be a block boundary (EventReader.Offset after the file header).
+func NewHeadScanner(r io.ReaderAt, off int64) *HeadScanner {
+	return &HeadScanner{r: r, off: off}
+}
+
+// Next returns the block at the scanner's position and moves past it:
+// io.EOF at a clean end of stream, ErrBadFormat naming the block's byte
+// offset when the head (or a proc block) does not validate. A frame
+// whose payload the stream cuts short still scans; its decoder reports
+// the truncation.
+func (s *HeadScanner) Next() (ScannedBlock, error) {
+	start := s.off
+	n, err := s.r.ReadAt(s.buf[:], start)
+	if n == 0 {
+		if err == nil {
+			err = io.EOF
+		}
+		return ScannedBlock{}, err
+	}
+	typ, plen, hlen, crc, err := parseBlockHead(s.buf[:min(n, blockHeadMax)])
+	if err != nil {
+		return ScannedBlock{}, badFormat(fmt.Sprintf("block at byte %d", start), err)
+	}
+	b := ScannedBlock{Start: start, End: start + int64(hlen+plen), Frame: typ != blockProc}
+	if b.Frame {
+		b.Rank, b.Count, _, err = parseFramePrefix(typ, s.buf[hlen:min(n, hlen+plen)])
+	} else {
+		if cap(s.payload) < plen {
+			s.payload = make([]byte, plen)
+		}
+		p := s.payload[:plen]
+		if m, rerr := s.r.ReadAt(p, start+int64(hlen)); m < plen {
+			return ScannedBlock{}, badFormat(fmt.Sprintf("block payload at byte %d", start), rerr)
+		}
+		if crc32.Checksum(p, castagnoli) != crc {
+			return ScannedBlock{}, badFormat(fmt.Sprintf("block at byte %d", start), errors.New("checksum mismatch"))
+		}
+		b.Proc, err = parseProcPayload(p)
+	}
+	if err != nil {
+		return ScannedBlock{}, badFormat(fmt.Sprintf("block at byte %d", start), err)
+	}
+	s.off = b.End
+	return b, nil
+}
+
 // frameWriter is the v2 encoding layer under EventWriter: it batches
 // events into frames and emits checksummed blocks. All encoding goes
 // through writer-owned buffers, so the per-event hot path allocates
@@ -857,6 +942,7 @@ type FrameDecoder struct {
 	rank   int
 	rep    CorruptionReport
 	events []byte // undecoded remainder of the current frame (row frames)
+	left   int    // events the current row frame's count still promises
 
 	// decoded/dpos serve columnar frames, whose events materialize at
 	// block-parse time into the blockReader's scratch; they must drain
@@ -866,9 +952,11 @@ type FrameDecoder struct {
 }
 
 // NewFrameDecoder returns a decoder over r for the given rank's section.
-func NewFrameDecoder(r io.Reader, rank int, pol ResyncPolicy) *FrameDecoder {
+// base is the stream offset of r's first byte, so that errors and
+// incidents name positions in the file and not in the section.
+func NewFrameDecoder(r io.Reader, base int64, rank int, pol ResyncPolicy) *FrameDecoder {
 	d := &FrameDecoder{rank: rank}
-	d.cr = countingReader{r: r}
+	d.cr = countingReader{r: r, n: base}
 	size := decoderBufSize
 	if pol.Enabled {
 		size = scanWindow
@@ -909,17 +997,36 @@ func (d *FrameDecoder) Decode(ev *Event) error {
 			d.decoded, d.dpos = p.decoded, 1
 			return nil
 		}
-		d.events = p.events
+		d.events, d.left = p.events, p.count
 	}
 	n, ok := decodeEvent(d.events, ev)
 	if !ok {
-		// Unreachable in resync mode: accepted blocks are deep-validated.
-		d.events = nil
-		return badFormat(fmt.Sprintf("frame events (at byte %d, rank %d)", d.blk.pos(), d.rank), errors.New("malformed event"))
+		return d.badFrame(errors.New("malformed event"))
 	}
 	d.events = d.events[n:]
+	d.left--
+	if !rowFrameInStep(d.left, d.events) {
+		return d.badFrame(errFrameCount)
+	}
 	return nil
 }
+
+// badFrame fails the current row frame. Unreachable in resync mode:
+// accepted blocks are deep-validated.
+func (d *FrameDecoder) badFrame(reason error) error {
+	d.events = nil
+	return badFormat(fmt.Sprintf("frame events (at byte %d, rank %d)", d.blk.pos(), d.rank), reason)
+}
+
+// errFrameCount is the reason a row frame fails rowFrameInStep.
+var errFrameCount = errors.New("frame's events disagree with its count")
+
+// rowFrameInStep reports whether a row frame's bytes and its declared
+// count still agree after an event: they must run out together. A strict
+// reader checks it as it decodes (the checksum vouches for the bytes, not
+// for the count telling the truth about them), because the count is what
+// a HeadScanner index is built from.
+func rowFrameInStep(left int, rest []byte) bool { return (left == 0) == (len(rest) == 0) }
 
 // DecodeBatch decodes up to len(evs) events, returning how many were
 // filled; a clean section end surfaces as (n, io.EOF). Columnar frames
@@ -937,6 +1044,10 @@ func (d *FrameDecoder) DecodeBatch(evs []Event) (int, error) {
 		if len(d.events) > 0 {
 			if n, ok := decodeEvent(d.events, &evs[i]); ok {
 				d.events = d.events[n:]
+				d.left--
+				if !rowFrameInStep(d.left, d.events) {
+					return i, d.badFrame(errFrameCount)
+				}
 				i++
 				continue
 			}

@@ -461,7 +461,7 @@ func TestFrameDecoderAllocs(t *testing.T) {
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	d := NewFrameDecoder(bytes.NewReader(buf.Bytes()), 0, ResyncPolicy{})
+	d := NewFrameDecoder(bytes.NewReader(buf.Bytes()), 0, 0, ResyncPolicy{})
 	var ev Event
 	// Warm the payload buffer.
 	for i := 0; i < 1024; i++ {
@@ -500,7 +500,7 @@ func TestFrameDecoderSection(t *testing.T) {
 	}
 	section := data[start:end]
 
-	d := NewFrameDecoder(bytes.NewReader(section), 1, ResyncPolicy{})
+	d := NewFrameDecoder(bytes.NewReader(section), 0, 1, ResyncPolicy{})
 	var got []Event
 	for {
 		var ev Event
@@ -523,7 +523,7 @@ func TestFrameDecoderSection(t *testing.T) {
 	// Corrupt one frame mid-section: resync must drop it and continue.
 	mut := append([]byte(nil), section...)
 	mut[len(mut)/2] ^= 0x10
-	d = NewFrameDecoder(bytes.NewReader(mut), 1, ResyncPolicy{Enabled: true})
+	d = NewFrameDecoder(bytes.NewReader(mut), 0, 1, ResyncPolicy{Enabled: true})
 	got = got[:0]
 	for {
 		var ev Event

@@ -412,6 +412,12 @@ func (s *Server) run(conn net.Conn, id uint64, h Hello, pipe stream.Pipeline, tn
 		s.reply(conn, fError, perr)
 		return perr
 	}
+	// The event quota is charged from the index. For a strict v2 spool
+	// that index was hopped from block heads, no event decoded yet: these
+	// are the counts of the CRC-checked proc blocks, which the hop
+	// required the frames' own counts to sum to exactly, and a frame that
+	// holds another number of events than it declares fails the run's
+	// first pass (CodeBadTrace) before any result is sent.
 	var events int64
 	for _, ph := range src.Procs() {
 		events += int64(ph.EventCount)
