@@ -66,10 +66,13 @@ faults:
 # index decodes it; spill bytes read = written), the settle-time census
 # against the walk it replaced and against the in-memory pipeline on the
 # paper's case, and two tsyncd sessions sharing one SpillFS, all under
-# the race detector
+# the race detector; then, without it (the race build inflates allocation
+# counts), the serial thread's allocation rate per event, the ring it
+# queues on and the resumed ramp-readiness scan
 passes:
 	$(GO) test -race -run 'TestInputPasses|TestLedger|TestDifferentialPipeline|TestWindowPolicyError' ./internal/stream/
 	$(GO) test -race -run TestSharedSpillFS ./internal/tsyncd/
+	$(GO) test -run 'TestWalkAllocsPerEvent|TestPumpScanSteps|TestRing' ./internal/stream/
 
 # the replay-clock suite on its own: RepCl unit/codec/fuzz-seed tests,
 # the replay engine's property/adversarial/fault-matrix tests, and the

@@ -520,6 +520,7 @@ func BenchmarkStreamPipeline(b *testing.B) {
 	}
 	p := stream.Pipeline{Base: core.BaseInterp, CLC: true}
 	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
 	b.ResetTimer()
 	var events int64
 	for i := 0; i < b.N; i++ {

@@ -70,11 +70,15 @@ type rampJob struct {
 type clcRank struct {
 	started          bool
 	prevOrig, prevT1 float64
-	deque            []clcEntry
-	base             int // event index of deque[0]
-	jobs             []rampJob
-	closed           bool
-	w                *spillWriter
+	deque            ring[clcEntry]
+	base             int // event index of the deque's front
+	jobs             ring[rampJob]
+	// seen is how many entries, from the first job's target down, its
+	// readiness scan found final and in reach; scanned counts every entry
+	// such a scan inspected.
+	seen, scanned int
+	closed        bool
+	w             *spillWriter
 }
 
 // newCLCSink builds the sink; lmin(tail, head) is the unscaled minimum
@@ -112,7 +116,7 @@ func (s *clcSink) event(rank, idx int, ev *trace.Event, mapped float64, in []InE
 			rampEnd := t1
 			rampStart := rampEnd - s.opt.BackwardWindow
 			if rampStart < rampEnd {
-				r.jobs = append(r.jobs, rampJob{k: idx, rampStart: rampStart, rampEnd: rampEnd, jump: jump})
+				r.jobs.push(rampJob{k: idx, rampStart: rampStart, rampEnd: rampEnd, jump: jump})
 			}
 		}
 	}
@@ -124,7 +128,7 @@ func (s *clcSink) event(rank, idx int, ev *trace.Event, mapped float64, in []InE
 			return EdgeData{}, err
 		}
 	}
-	r.deque = append(r.deque, ent)
+	r.deque.push(ent)
 	if err := s.acct.add(rank, 1); err != nil {
 		return EdgeData{}, err
 	}
@@ -149,8 +153,8 @@ func (s *clcSink) resolveUB(ref EventRef, bound float64) {
 		// emitted before their bounds settle, so the bound is moot
 		return
 	}
-	if bound < r.deque[pos].ub {
-		r.deque[pos].ub = bound
+	if e := r.deque.at(pos); bound < e.ub {
+		e.ub = bound
 	}
 }
 
@@ -167,7 +171,7 @@ func (s *clcSink) final(ref EventRef) error {
 		}
 		return nil
 	}
-	e := &r.deque[pos]
+	e := r.deque.at(pos)
 	e.final = true
 	if e.rec < 0 && !e.head {
 		s.release(e.rec)
@@ -181,30 +185,40 @@ func (s *clcSink) rankDone(rank int) error {
 }
 
 // pump applies every ready ramp job in order, then emits settled
-// entries from the deque front.
+// entries from the deque front. A job is ready once every entry its ramp
+// reaches is final; a blocked job is asked again on every event and final
+// of its rank, and its scan resumes at the entry that stopped it. That
+// reads what a fresh scan would: the entries above were seen final and
+// in reach, final only ever turns true, and no cur moves and nothing
+// leaves the deque while a job waits (jobs apply strictly in order).
 func (s *clcSink) pump(rank int) error {
 	r := &s.ranks[rank]
-	for len(r.jobs) > 0 {
-		job := r.jobs[0]
+	for r.jobs.len() > 0 {
+		job := *r.jobs.at(0)
 		pos := job.k - 1 - r.base
 		if pos < 0 {
 			return fmt.Errorf("stream: clc ramp target below deque base (rank %d)", rank)
 		}
 		ready := true
-		for j := pos; j >= 0; j-- {
-			if r.deque[j].cur <= job.rampStart {
+		j := pos - r.seen
+		for ; j >= 0; j-- {
+			r.scanned++
+			e := r.deque.at(j)
+			if e.cur <= job.rampStart {
 				break
 			}
-			if !r.deque[j].final {
+			if !e.final {
 				ready = false
 				break
 			}
 		}
 		if !ready {
+			r.seen = pos - j
 			break
 		}
+		r.seen = 0
 		for j := pos; j >= 0; j-- {
-			e := &r.deque[j]
+			e := r.deque.at(j)
 			if e.cur <= job.rampStart {
 				break
 			}
@@ -220,32 +234,34 @@ func (s *clcSink) pump(rank int) error {
 				e.cur += allowed
 			}
 		}
+		next := r.deque.at(pos + 1).cur
 		for j := pos; j >= 0; j-- {
-			if m := r.deque[j+1].cur - s.opt.MinSpacing; r.deque[j].cur > m {
-				r.deque[j].cur = m
+			e := r.deque.at(j)
+			if m := next - s.opt.MinSpacing; e.cur > m {
+				e.cur = m
 			}
-			if r.deque[j].cur < r.deque[j].t1 {
-				r.deque[j].cur = r.deque[j].t1
+			if e.cur < e.t1 {
+				e.cur = e.t1
 			}
+			next = e.cur
 		}
-		r.jobs = r.jobs[1:]
+		r.jobs.pop()
 	}
 
-	for len(r.jobs) == 0 && len(r.deque) > 0 {
+	for r.jobs.len() == 0 && r.deque.len() > 0 {
+		front := *r.deque.at(0)
 		if !r.closed {
-			if len(r.deque) < 2 {
+			if r.deque.len() < 2 {
 				// the newest entry may still be ramped by the next jump
 				break
 			}
-			front := r.deque[0]
 			if front.cur > r.prevT1-s.opt.BackwardWindow {
 				break
 			}
-			if front.cur > r.deque[1].t1-s.opt.MinSpacing {
+			if front.cur > r.deque.at(1).t1-s.opt.MinSpacing {
 				break
 			}
 		}
-		front := r.deque[0]
 		if err := r.w.write(front.cur); err != nil {
 			return err
 		}
@@ -258,7 +274,7 @@ func (s *clcSink) pump(rank int) error {
 		if front.rec != 0 || !front.final {
 			s.settle(EventRef{Rank: rank, Idx: r.base}, front)
 		}
-		r.deque = r.deque[1:]
+		r.deque.pop()
 		r.base++
 		if err := s.acct.add(rank, -1); err != nil {
 			return err
@@ -276,8 +292,8 @@ func (s *clcSink) flush() error {
 		if err := s.pump(rank); err != nil {
 			return err
 		}
-		if len(r.jobs) > 0 || len(r.deque) > 0 {
-			return fmt.Errorf("stream: clc flush left rank %d with %d jobs, %d entries (missing finality)", rank, len(r.jobs), len(r.deque))
+		if r.jobs.len() > 0 || r.deque.len() > 0 {
+			return fmt.Errorf("stream: clc flush left rank %d with %d jobs, %d entries (missing finality)", rank, r.jobs.len(), r.deque.len())
 		}
 		if err := r.w.close(); err != nil {
 			return err
@@ -316,6 +332,26 @@ type ledger struct {
 	colls      recPool[collRec]   // entries name these by negated index
 	insts      map[instKey]int32  // open instance → its record
 	parked     map[EventRef]int32 // emitted, not yet final tail → its record
+	// A new collRec's lists are carved from these at the widest size any
+	// record has reached. A rank whose jobs never all drain holds every
+	// entry, and so every record, to its end: each instance then needs a
+	// new record, which must not cost an allocation per list doubling.
+	points arena[endpoint]
+	saws   arena[int32]
+	width  int
+}
+
+// arena carves slices of a given capacity out of shared chunks: one
+// allocation per chunk, which lives as long as any slice carved from it.
+type arena[T any] struct{ chunk []T }
+
+func (a *arena[T]) carve(n int) []T {
+	if cap(a.chunk)-len(a.chunk) < n {
+		a.chunk = make([]T, 0, max(n, 4096))
+	}
+	at := len(a.chunk)
+	a.chunk = a.chunk[:at+n]
+	return a.chunk[at : at : at+n]
 }
 
 // endpoint is one end of an edge and, once settled, its emitted time. In
@@ -393,7 +429,8 @@ func (s *clcSink) edge(tail, head endpoint, logical bool) {
 func (s *clcSink) tailRec(ref EventRef) (int32, *clcEntry, error) {
 	r := &s.ranks[ref.Rank]
 	if pos := ref.Idx - r.base; pos >= 0 {
-		return r.deque[pos].rec, &r.deque[pos], nil
+		e := r.deque.at(pos)
+		return e.rec, e, nil
 	}
 	id, ok := s.parked[ref]
 	if !ok {
@@ -426,6 +463,10 @@ func (s *clcSink) join(rank int, ev *trace.Event, in []InEdge) (int32, error) {
 		s.colls.recs[-id].key = key
 	}
 	c := &s.colls.recs[-id]
+	if cap(c.ends) == 0 { // a new record, not a recycled one
+		n := max(len(in)+1, s.width)
+		c.begins, c.ends, c.saw = s.points.carve(n), s.points.carve(n), s.saws.carve(n)
+	}
 	for _, e := range in {
 		held, begin, err := s.tailRec(e.From)
 		switch {
@@ -446,6 +487,7 @@ func (s *clcSink) join(rank int, ev *trace.Event, in []InEdge) (int32, error) {
 	c.ends = append(c.ends, endpoint{rank: int32(rank)})
 	c.saw = append(c.saw, int32(len(c.begins)))
 	c.open++
+	s.width = max(s.width, len(c.begins), len(c.ends))
 	return id, nil
 }
 

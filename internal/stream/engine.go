@@ -1,11 +1,12 @@
 package stream
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"tsync/internal/topology"
 	"tsync/internal/trace"
@@ -69,29 +70,102 @@ type instKey struct {
 	comm, inst int32
 }
 
-// instance is one open collective operation.
+// instance is one open collective operation; instances and their slices
+// recycle through engine.free.
 type instance struct {
-	key    instKey
-	op     trace.CollOp
-	root   int32
-	begins map[int]sendEntry
-	ends   map[int]bool
-	// order caches beginOrder's result.
-	order []int
-	// endsSeen guards against orderings the oracle-time merge cannot
-	// support (an edge tail arriving after one of its heads).
+	inst int32
+	comm *commState
+	op   trace.CollOp
+	root int32
+	// begins holds the ranks that have begun, ascending by ref.Rank: the
+	// order of every in-edge list and finalization loop, so float folds
+	// and error choices never depend on arrival order.
+	begins []sendEntry
+	// ends has bit r set once rank r delivered its end (every end has a
+	// begin: process turns the others away). endsSeen counts them, and
+	// guards against orderings the oracle-time merge cannot support (an
+	// edge tail arriving after one of its heads).
+	ends     bitset
 	endsSeen int
 }
 
-// beginOrder returns the ranks that have begun the instance, ascending:
-// the order of every in-edge list and finalization loop, so float folds
-// and error choices never depend on map order. Begins are only ever
-// added, so the cache is stale exactly when its length differs.
-func (ins *instance) beginOrder() []int {
-	if len(ins.order) != len(ins.begins) {
-		ins.order = sortedRanks(ins.begins)
+// begin returns the position of rank's entry in ins.begins, or where it
+// would be inserted to keep the slice ascending.
+func (ins *instance) begin(rank int) (int, bool) {
+	return slices.BinarySearchFunc(ins.begins, rank, func(b sendEntry, rank int) int { return b.ref.Rank - rank })
+}
+
+// bitset is a set of small ints sized by its largest member, not by the
+// rank count.
+type bitset []uint64
+
+func (b bitset) has(i int) bool {
+	w := i >> 6
+	return w < len(b) && b[w]&(1<<(i&63)) != 0
+}
+
+func (b *bitset) set(i int) {
+	w := i >> 6
+	for len(*b) <= w {
+		*b = append(*b, 0)
 	}
-	return ins.order
+	(*b)[w] |= 1 << (i & 63)
+}
+
+// word returns members 64w..64w+63 as a mask.
+func (b bitset) word(w int) uint64 {
+	if w < len(b) {
+		return b[w]
+	}
+	return 0
+}
+
+// commState is one communicator's collective bookkeeping.
+type commState struct {
+	id int32
+	// open lists the open instances in arrival order.
+	open []*instance
+	// last[rank] is the highest instance rank has touched (-1 = never).
+	last []int32
+}
+
+// channels maps each message channel to its unmatched sends, oldest
+// first. A drained channel keeps its entry for its next message (a rank
+// talks to a few partners on a few tags, over and over) while the map
+// holds at most limit entries. Past that (a tag per message, an
+// all-to-all over thousands of ranks) it leaves the map and its queue
+// goes to a free list, so the map is bounded by limit plus the channels
+// in flight, never by the trace's length.
+type channels struct {
+	m     map[chanKey]*ring[sendEntry]
+	free  []*ring[sendEntry]
+	limit int
+}
+
+func newChannels(ranks int) channels {
+	return channels{m: map[chanKey]*ring[sendEntry]{}, limit: max(1024, 16*ranks)}
+}
+
+// push queues a send on k's channel, opening it if need be.
+func (c *channels) push(k chanKey, se sendEntry) {
+	q := c.m[k]
+	if q == nil {
+		if n := len(c.free); n > 0 {
+			q, c.free = c.free[n-1], c.free[:n-1]
+		} else {
+			q = new(ring[sendEntry])
+		}
+		c.m[k] = q
+	}
+	q.push(se)
+}
+
+// pop removes the oldest send of k's channel q.
+func (c *channels) pop(k chanKey, q *ring[sendEntry]) {
+	if q.pop(); q.len() == 0 && len(c.m) > c.limit {
+		delete(c.m, k)
+		c.free = append(c.free, q)
+	}
 }
 
 // collClass partitions collective ops by their edge semantics.
@@ -131,73 +205,86 @@ type engine struct {
 	loss     []RankLoss
 	lossSink RankLoss
 
-	heads []*trace.Event
-	idx   []int
-	done  []bool
-	h     mergeHeap
+	idx  []int
+	done []bool
 
-	fifos map[chanKey][]sendEntry
-	insts map[instKey]*instance
-	// open[comm] lists open instances of one communicator in arrival
-	// order; lastColl[comm][rank] is the highest instance rank has
-	// touched on it (-1 = never).
-	open     map[int32][]*instance
-	lastColl map[int32][]int32
+	fifos channels
+	// comms holds the communicators seen so far, ascending by id: the
+	// order finishRank re-checks them in.
+	comms []*commState
+	free  []*instance
 
 	inBuf []InEdge
 }
 
-// mergeHeap orders ranks by their head event's (True, rank). It is a
-// hand-rolled binary heap over rank numbers: the comparison is two loads
-// and a float compare, cheap enough that container/heap's interface
-// dispatch used to dominate it. The pop order cannot differ from the
-// generic heap's: (True, rank) is a strict total order over the live
-// ranks, so the minimum is unique at every step.
-type mergeHeap struct {
-	e *engine
-	r []int
+// head is one merge source's current event.
+type head struct {
+	ev *trace.Event
+	// tru is ev.True, beside the rank so a compare loads no event.
+	tru  float64
+	rank int32
+	// src is the slot the heap's owner refills this head from: a rank, a
+	// shard-local rank, or a shard.
+	src int32
 }
 
-func (m *mergeHeap) less(a, b int) bool {
-	ta, tb := m.e.heads[a].True, m.e.heads[b].True
-	if ta != tb { //tsync:exact — heap order on oracle times; ties break by rank below
-		return ta < tb
+func (a *head) before(b *head) bool {
+	if a.tru != b.tru { //tsync:exact — heap order on oracle times; ties break by rank below
+		return a.tru < b.tru
 	}
-	return a < b
+	return a.rank < b.rank
 }
 
-func (m *mergeHeap) push(r int) {
-	m.r = append(m.r, r)
-	for i := len(m.r) - 1; i > 0; {
+// headHeap is the k-way merge's binary min-heap, one head per live source
+// ordered by (True, rank): the flat merge's, each shard worker's and the
+// tree root's. A merge step reads the top and, once its event has been
+// consumed, advances it: the source's next head takes the top's slot and
+// sifts down once, where pop-then-push sifted twice. The sequence cannot
+// differ from any other correct heap's: sources never share a rank, so
+// (True, rank) is a strict total order over the live heads and the
+// minimum is unique at every step.
+type headHeap []head
+
+// push adds a source's first head.
+func (h *headHeap) push(x head) {
+	s := append(*h, x)
+	*h = s
+	for i := len(s) - 1; i > 0; {
 		p := (i - 1) / 2
-		if !m.less(m.r[i], m.r[p]) {
+		if !s[i].before(&s[p]) {
 			break
 		}
-		m.r[i], m.r[p] = m.r[p], m.r[i]
+		s[i], s[p] = s[p], s[i]
 		i = p
 	}
 }
 
-func (m *mergeHeap) pop() int {
-	top := m.r[0]
-	last := len(m.r) - 1
-	m.r[0] = m.r[last]
-	m.r = m.r[:last]
+// advance replaces the top with its source's next head, or removes it
+// when the source is exhausted (ev == nil).
+func (h *headHeap) advance(ev *trace.Event, rank int32) {
+	s := *h
+	if ev == nil {
+		last := len(s) - 1
+		s[0] = s[last]
+		s = s[:last]
+		*h = s
+	} else {
+		s[0].ev, s[0].tru, s[0].rank = ev, ev.True, rank
+	}
 	for i := 0; ; {
 		c := 2*i + 1
-		if c >= last {
+		if c >= len(s) {
 			break
 		}
-		if rgt := c + 1; rgt < last && m.less(m.r[rgt], m.r[c]) {
+		if rgt := c + 1; rgt < len(s) && s[rgt].before(&s[c]) {
 			c = rgt
 		}
-		if !m.less(m.r[c], m.r[i]) {
+		if !s[c].before(&s[i]) {
 			break
 		}
-		m.r[i], m.r[c] = m.r[c], m.r[i]
+		s[i], s[c] = s[c], s[i]
 		i = c
 	}
-	return top
 }
 
 // merged is the engine's view of the (True, rank)-ordered event stream.
@@ -210,7 +297,7 @@ func (m *mergeHeap) pop() int {
 // it surfaces rank startup decode errors in deterministic rank order.
 // next returns the next event in merged order — the pointee stays valid
 // until the following next call — and io.EOF once every rank is
-// exhausted. A merger defers refilling the source of the event it just
+// exhausted. A merger defers advancing the source of the event it just
 // returned until the next call, so a refill error surfaces after the
 // previous event was fully processed, exactly where the historical
 // advance-after-process loop surfaced it.
@@ -220,7 +307,7 @@ type merged interface {
 }
 
 // walk merges src's ranks and feeds snk. ctx is checked between events
-// (every ctxCheckEvery merge pops), so cancellation surfaces within one
+// (every ctxCheckEvery merge steps), so cancellation surfaces within one
 // slab's worth of work; the deferred stop release makes every decode and
 // shard-merge goroutine exit before walk returns. loss, when non-nil,
 // receives the engine-side salvage counters (one entry per rank).
@@ -238,23 +325,18 @@ func walk(ctx context.Context, src *Source, m timeMapper, snk sink, opt Options,
 	defer close(stop)
 	e := &engine{
 		src: src, mapper: m, snk: snk, opt: opt,
-		acct:     acct,
-		sal:      opt.Salvage || src.Salvaged(),
-		loss:     loss,
-		heads:    make([]*trace.Event, n),
-		idx:      make([]int, n),
-		done:     make([]bool, n),
-		fifos:    map[chanKey][]sendEntry{},
-		insts:    map[instKey]*instance{},
-		open:     map[int32][]*instance{},
-		lastColl: map[int32][]int32{},
+		acct:  acct,
+		sal:   opt.Salvage || src.Salvaged(),
+		loss:  loss,
+		idx:   make([]int, n),
+		done:  make([]bool, n),
+		fifos: newChannels(n),
 	}
-	e.h.e = e
 	var mg merged
 	if shards := shardCount(n, opt.Shards); shards > 1 {
-		mg = newTreeMerger(e, src, opt, shards, stop)
+		mg = newTreeMerger(src, opt, shards, stop)
 	} else {
-		mg = newFlatMerger(e, src, opt, stop)
+		mg = newFlatMerger(src, opt, stop)
 	}
 	remaining := make([]int, n)
 	for r := 0; r < n; r++ {
@@ -286,8 +368,7 @@ func walk(ctx context.Context, src *Source, m timeMapper, snk sink, opt Options,
 		if err != nil {
 			return err
 		}
-		e.heads[r] = ev
-		if err := e.process(r); err != nil {
+		if err := e.process(r, ev); err != nil {
 			return err
 		}
 		e.idx[r]++
@@ -304,21 +385,20 @@ func walk(ctx context.Context, src *Source, m timeMapper, snk sink, opt Options,
 	} else {
 		// report the first failure in key order, not map order, so a
 		// damaged trace produces the same error on every run
-		for _, k := range sortedChanKeys(e.fifos) {
-			if q := e.fifos[k]; len(q) > 0 {
-				return fmt.Errorf("stream: %d unmatched Sends from %d to %d tag %d", len(q), k.from, k.to, k.tag)
-			}
+		if keys := e.fifos.pending(); len(keys) > 0 {
+			k := keys[0]
+			return fmt.Errorf("stream: %d unmatched Sends from %d to %d tag %d", e.fifos.m[k].len(), k.from, k.to, k.tag)
 		}
-		for _, ik := range sortedInstKeys(e.insts) {
-			ins := e.insts[ik]
+		if open := e.openInstances(); len(open) > 0 {
+			ins := open[0]
 			return fmt.Errorf("stream: collective comm %d instance %d incomplete at end of trace (%d begins, %d ends)",
-				ins.key.comm, ins.key.inst, len(ins.begins), len(ins.ends))
+				ins.comm.id, ins.inst, len(ins.begins), ins.endsSeen)
 		}
 	}
 	return e.snk.flush()
 }
 
-// ctxCheckEvery is how many merge pops go between context checks:
+// ctxCheckEvery is how many merge steps go between context checks:
 // frequent enough that cancellation lands within a slab's worth of work,
 // rare enough that the atomic load disappears in the merge cost.
 const ctxCheckEvery = 1024
@@ -338,8 +418,9 @@ func (e *engine) lossAt(r int) *RankLoss {
 // bookkeeping (the CLC deque) can drain. Iteration is over sorted keys:
 // the per-rank finalization order must not depend on map order.
 func (e *engine) cleanupSalvage() error {
-	for _, k := range sortedChanKeys(e.fifos) {
-		for _, se := range e.fifos[k] {
+	for _, k := range e.fifos.pending() {
+		for q := e.fifos.m[k]; q.len() > 0; q.pop() {
+			se := q.at(0)
 			e.lossAt(se.ref.Rank).DroppedSends++
 			if err := e.snk.final(se.ref); err != nil {
 				return err
@@ -348,80 +429,59 @@ func (e *engine) cleanupSalvage() error {
 				return err
 			}
 		}
-		delete(e.fifos, k)
 	}
-	for _, ik := range sortedInstKeys(e.insts) {
-		ins := e.insts[ik]
-		for _, r := range ins.beginOrder() {
-			e.lossAt(r).BrokenCollectives++
-			if err := e.snk.final(ins.begins[r].ref); err != nil {
+	for _, ins := range e.openInstances() {
+		for i := range ins.begins {
+			ref := ins.begins[i].ref
+			e.lossAt(ref.Rank).BrokenCollectives++
+			if err := e.snk.final(ref); err != nil {
 				return err
 			}
-			if err := e.acct.add(r, -1); err != nil {
+			if err := e.acct.add(ref.Rank, -1); err != nil {
 				return err
 			}
 		}
-		for _, r := range sortedRanks(ins.ends) {
-			e.lossAt(r).BrokenCollectives++
-			if err := e.acct.add(r, -1); err != nil {
-				return err
+		for w, word := range ins.ends {
+			for ; word != 0; word &= word - 1 {
+				r := w<<6 + bits.TrailingZeros64(word)
+				e.lossAt(r).BrokenCollectives++
+				if err := e.acct.add(r, -1); err != nil {
+					return err
+				}
 			}
 		}
-		delete(e.insts, ik)
 	}
-	for comm := range e.open {
-		delete(e.open, comm)
+	for _, cs := range e.comms {
+		cs.open = nil
 	}
 	return nil
 }
 
-// sortedChanKeys returns the fifo keys ordered by (from, to, tag, comm),
-// so every per-channel walk is independent of map visit order.
-func sortedChanKeys(m map[chanKey][]sendEntry) []chanKey {
-	keys := make([]chanKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// pending returns the keys of the channels holding unmatched sends,
+// ordered by (from, to, tag, comm), so every per-channel walk is
+// independent of map visit order.
+func (c *channels) pending() []chanKey {
+	var keys []chanKey
+	for k, q := range c.m {
+		if q.len() > 0 {
+			keys = append(keys, k)
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.from != b.from {
-			return a.from < b.from
-		}
-		if a.to != b.to {
-			return a.to < b.to
-		}
-		if a.tag != b.tag {
-			return a.tag < b.tag
-		}
-		return a.comm < b.comm
+	slices.SortFunc(keys, func(a, b chanKey) int {
+		return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to), cmp.Compare(a.tag, b.tag), cmp.Compare(a.comm, b.comm))
 	})
 	return keys
 }
 
-// sortedInstKeys returns the open-collective keys ordered by
-// (comm, inst).
-func sortedInstKeys(m map[instKey]*instance) []instKey {
-	keys := make([]instKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// openInstances returns the open instances ordered by (comm, inst).
+func (e *engine) openInstances() []*instance {
+	var all []*instance
+	for _, cs := range e.comms {
+		at := len(all)
+		all = append(all, cs.open...)
+		slices.SortFunc(all[at:], func(a, b *instance) int { return cmp.Compare(a.inst, b.inst) })
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].comm != keys[j].comm {
-			return keys[i].comm < keys[j].comm
-		}
-		return keys[i].inst < keys[j].inst
-	})
-	return keys
-}
-
-// sortedRanks returns the keys of a per-rank map in ascending order.
-func sortedRanks[V any](m map[int]V) []int {
-	rs := make([]int, 0, len(m))
-	for r := range m {
-		rs = append(rs, r)
-	}
-	sort.Ints(rs)
-	return rs
+	return all
 }
 
 // finishRank records a rank's exhaustion: the sink's rankDone callback
@@ -434,13 +494,8 @@ func (e *engine) finishRank(r int) error {
 	if err := e.snk.rankDone(r); err != nil {
 		return err
 	}
-	comms := make([]int32, 0, len(e.open))
-	for comm := range e.open {
-		comms = append(comms, comm)
-	}
-	slices.Sort(comms)
-	for _, comm := range comms {
-		if err := e.completeInstances(comm); err != nil {
+	for _, cs := range e.comms {
+		if err := e.completeInstances(cs); err != nil {
 			return err
 		}
 	}
@@ -448,19 +503,19 @@ func (e *engine) finishRank(r int) error {
 }
 
 // flatMerger is the single-heap merge: one decode-ahead stage per rank,
-// all heads in one mergeHeap. The refill of the rank whose event the
-// last next returned is deferred to the following call, so a mid-stream
-// decode error surfaces after the previous event was processed — the
-// exact position the historical advance-after-process loop gave it.
+// all heads in one headHeap. The rank whose event the last next returned
+// is advanced on the following call, so a mid-stream decode error
+// surfaces after the previous event was processed — the exact position
+// the historical advance-after-process loop gave it.
 type flatMerger struct {
-	e       *engine
 	cursors []*slabCursor
-	pending int // rank to refill before the next pop; -1 = none
+	h       headHeap
+	taken   bool // the top was returned and is advanced before the next read
 }
 
-func newFlatMerger(e *engine, src *Source, opt Options, stop chan struct{}) *flatMerger {
+func newFlatMerger(src *Source, opt Options, stop chan struct{}) *flatMerger {
 	pool := newSlabPool(opt.Batch)
-	f := &flatMerger{e: e, cursors: make([]*slabCursor, src.Ranks()), pending: -1}
+	f := &flatMerger{cursors: make([]*slabCursor, src.Ranks())}
 	for r := range f.cursors {
 		f.cursors[r] = src.slabCursor(r, pool, stop)
 	}
@@ -475,31 +530,27 @@ func (f *flatMerger) prime(r int) error {
 	if err != nil {
 		return err
 	}
-	f.e.heads[r] = ev
-	f.e.h.push(r)
+	f.h.push(head{ev: ev, tru: ev.True, rank: int32(r), src: int32(r)})
 	return nil
 }
 
 func (f *flatMerger) next() (int, *trace.Event, error) {
-	if r := f.pending; r >= 0 {
-		f.pending = -1
+	if f.taken {
+		f.taken = false
+		r := f.h[0].rank
+		// at io.EOF ev is nil and the rank leaves the heap; walk's count
+		// bookkeeping already fired its rankDone
 		ev, err := f.cursors[r].nextRef()
-		switch {
-		case err == io.EOF:
-			// exhausted; walk's count bookkeeping already fired rankDone
-		case err != nil:
+		if err != nil && err != io.EOF {
 			return 0, nil, err
-		default:
-			f.e.heads[r] = ev
-			f.e.h.push(r)
 		}
+		f.h.advance(ev, r)
 	}
-	if len(f.e.h.r) == 0 {
+	if len(f.h) == 0 {
 		return 0, nil, io.EOF
 	}
-	r := f.e.h.pop()
-	f.pending = r
-	return r, f.e.heads[r], nil
+	f.taken = true
+	return int(f.h[0].rank), f.h[0].ev, nil
 }
 
 // lmin returns the unscaled minimum latency between two ranks' cores.
@@ -510,8 +561,7 @@ func (s *Source) lmin(a, b int) float64 {
 	return s.head.MinLatency[topology.Relate(s.procs[a].Core, s.procs[b].Core)]
 }
 
-func (e *engine) process(r int) error {
-	ev := e.heads[r]
+func (e *engine) process(r int, ev *trace.Event) error {
 	idx := e.idx[r]
 	mapped, err := e.mapper.mapTime(r, idx, ev)
 	if err != nil {
@@ -520,17 +570,17 @@ func (e *engine) process(r int) error {
 	in := e.inBuf[:0]
 	var matchedSend EventRef
 	var haveMatch bool
-	// orphanEnd marks a CollEnd that cannot join any instance (salvage
-	// only): it is treated as a local event, bypassing the collective
-	// bookkeeping below.
-	var orphanEnd bool
+	// ins is the instance a CollEnd joins. It stays nil for an orphan end,
+	// one that cannot join any instance (salvage only): that is treated as
+	// a local event, bypassing the collective bookkeeping below.
+	var ins *instance
 
 	switch ev.Kind {
 	case trace.Recv:
 		k := chanKey{from: ev.Partner, to: int32(r), tag: ev.Tag, comm: ev.Comm}
-		q := e.fifos[k]
-		matched := len(q) > 0
-		if matched && e.sal && q[0].tru >= ev.True { //tsync:exact — genuine pairs strictly increase oracle time; a head at or past the receive belongs to a later message whose real receive is still ahead
+		q := e.fifos.m[k]
+		matched := q != nil && q.len() > 0
+		if matched && e.sal && q.at(0).tru >= ev.True { //tsync:exact — genuine pairs strictly increase oracle time; a head at or past the receive belongs to a later message whose real receive is still ahead
 			matched = false
 		}
 		if !matched {
@@ -542,23 +592,19 @@ func (e *engine) process(r int) error {
 			e.lossAt(r).OrphanRecvs++
 			break
 		}
-		se := q[0]
-		if len(q) == 1 {
-			delete(e.fifos, k)
-		} else {
-			e.fifos[k] = q[1:]
-		}
+		se := *q.at(0)
+		e.fifos.pop(k, q)
 		if err := e.acct.add(se.ref.Rank, -1); err != nil {
 			return err
 		}
 		in = append(in, InEdge{From: se.ref, Data: se.data, LMin: e.src.lmin(se.ref.Rank, r)})
 		matchedSend, haveMatch = se.ref, true
 	case trace.CollEnd:
-		ins, err := e.instanceFor(r, ev, false)
+		ins, err = e.instanceFor(r, ev, false)
 		if err == nil {
-			if _, ok := ins.begins[r]; !ok {
+			if _, ok := ins.begin(r); !ok {
 				err = fmt.Errorf("stream: rank %d ended collective comm %d instance %d without beginning it", r, ev.Comm, ev.Instance)
-			} else if ins.ends[r] {
+			} else if ins.ends.has(r) {
 				err = fmt.Errorf("stream: rank %d has duplicate CollEnd for comm %d instance %d", r, ev.Comm, ev.Instance)
 			}
 		}
@@ -569,37 +615,24 @@ func (e *engine) process(r int) error {
 			// the begin (or the whole instance) was lost in a gap: keep
 			// the end as a local event
 			e.lossAt(r).BrokenCollectives++
-			orphanEnd = true
+			ins = nil
 			break
 		}
 		root := int(ins.root)
 		switch classOf(ins.op) {
 		case oneToN:
 			if r != root {
-				if rb, ok := ins.begins[root]; ok {
+				if i, ok := ins.begin(root); ok {
+					rb := &ins.begins[i]
 					in = append(in, InEdge{From: rb.ref, Data: rb.data, LMin: e.src.lmin(root, r), Logical: true})
 				}
 			}
 		case nToOne:
 			if r == root {
-				// ascending-rank edge order: sinks fold the in-edges in
-				// slice order, and float folds are order-sensitive
-				for _, q := range ins.beginOrder() {
-					if q == r {
-						continue
-					}
-					rec := ins.begins[q]
-					in = append(in, InEdge{From: rec.ref, Data: rec.data, LMin: e.src.lmin(q, r), Logical: true})
-				}
+				in = e.beginEdges(in, ins, r)
 			}
 		case nToN:
-			for _, q := range ins.beginOrder() {
-				if q == r {
-					continue
-				}
-				rec := ins.begins[q]
-				in = append(in, InEdge{From: rec.ref, Data: rec.data, LMin: e.src.lmin(q, r), Logical: true})
-			}
+			in = e.beginEdges(in, ins, r)
 		}
 	}
 
@@ -612,8 +645,7 @@ func (e *engine) process(r int) error {
 
 	switch ev.Kind {
 	case trace.Send:
-		k := chanKey{from: int32(r), to: ev.Partner, tag: ev.Tag, comm: ev.Comm}
-		e.fifos[k] = append(e.fifos[k], sendEntry{ref: ref, data: data, tru: ev.True})
+		e.fifos.push(chanKey{from: int32(r), to: ev.Partner, tag: ev.Tag, comm: ev.Comm}, sendEntry{ref: ref, data: data, tru: ev.True})
 		if err := e.acct.add(r, 1); err != nil {
 			return err
 		}
@@ -628,9 +660,11 @@ func (e *engine) process(r int) error {
 			return err
 		}
 	case trace.CollBegin:
-		ins, err := e.instanceFor(r, ev, true)
+		ins, err = e.instanceFor(r, ev, true)
+		var at int
 		if err == nil {
-			if _, dup := ins.begins[r]; dup {
+			var dup bool
+			if at, dup = ins.begin(r); dup {
 				err = fmt.Errorf("stream: rank %d has duplicate CollBegin for comm %d instance %d", r, ev.Comm, ev.Instance)
 			} else if ins.endsSeen > 0 && classOf(ins.op) != oneToN && !e.sal {
 				err = fmt.Errorf("stream: rank %d began collective comm %d instance %d after an end was processed (oracle-order violation)", r, ev.Comm, ev.Instance)
@@ -648,22 +682,21 @@ func (e *engine) process(r int) error {
 			}
 			break
 		}
-		ins.begins[r] = sendEntry{ref: ref, data: data, tru: ev.True}
+		ins.begins = slices.Insert(ins.begins, at, sendEntry{ref: ref, data: data, tru: ev.True})
 		if err := e.acct.add(r, 1); err != nil {
 			return err
 		}
-		if err := e.touchColl(r, ev.Comm, ev.Instance); err != nil {
+		if err := e.touchColl(r, ins); err != nil {
 			return err
 		}
 	case trace.CollEnd:
-		if orphanEnd {
+		if ins == nil {
 			if err := e.snk.final(ref); err != nil {
 				return err
 			}
 			break
 		}
-		ins := e.insts[instKey{ev.Comm, ev.Instance}]
-		ins.ends[r] = true
+		ins.ends.set(r)
 		ins.endsSeen++
 		if err := e.acct.add(r, 1); err != nil {
 			return err
@@ -671,7 +704,7 @@ func (e *engine) process(r int) error {
 		if err := e.snk.final(ref); err != nil {
 			return err
 		}
-		if err := e.touchColl(r, ev.Comm, ev.Instance); err != nil {
+		if err := e.touchColl(r, ins); err != nil {
 			return err
 		}
 	default:
@@ -682,18 +715,54 @@ func (e *engine) process(r int) error {
 	return nil
 }
 
+// beginEdges appends one logical in-edge per begin of ins other than r's
+// own. Ascending rank, the begins' order, is the edge order: sinks fold
+// the in-edges in slice order, and float folds are order-sensitive.
+func (e *engine) beginEdges(in []InEdge, ins *instance, r int) []InEdge {
+	for i := range ins.begins {
+		b := &ins.begins[i]
+		if q := b.ref.Rank; q != r {
+			in = append(in, InEdge{From: b.ref, Data: b.data, LMin: e.src.lmin(q, r), Logical: true})
+		}
+	}
+	return in
+}
+
 // instanceFor finds (or, for begins, creates) the collective instance of
-// an event, validating op consistency.
+// an event, validating op consistency. A communicator's open list is
+// short (an instance closes once every rank is past it), so a scan finds
+// the instance faster than a map would.
 func (e *engine) instanceFor(r int, ev *trace.Event, create bool) (*instance, error) {
-	k := instKey{ev.Comm, ev.Instance}
-	ins, ok := e.insts[k]
-	if !ok {
+	at, known := slices.BinarySearchFunc(e.comms, ev.Comm, func(cs *commState, id int32) int { return cmp.Compare(cs.id, id) })
+	var cs *commState
+	var ins *instance
+	if known {
+		cs = e.comms[at]
+		for _, o := range cs.open {
+			if o.inst == ev.Instance {
+				ins = o
+				break
+			}
+		}
+	}
+	if ins == nil {
 		if !create {
 			return nil, fmt.Errorf("stream: rank %d ended collective comm %d instance %d without beginning it", r, ev.Comm, ev.Instance)
 		}
-		ins = &instance{key: k, op: ev.Op, root: ev.Root, begins: map[int]sendEntry{}, ends: map[int]bool{}}
-		e.insts[k] = ins
-		e.open[ev.Comm] = append(e.open[ev.Comm], ins)
+		if !known {
+			cs = &commState{id: ev.Comm, last: make([]int32, e.src.Ranks())}
+			for i := range cs.last {
+				cs.last[i] = -1
+			}
+			e.comms = slices.Insert(e.comms, at, cs)
+		}
+		if n := len(e.free); n > 0 {
+			ins, e.free = e.free[n-1], e.free[:n-1]
+		} else {
+			ins = &instance{}
+		}
+		ins.inst, ins.comm, ins.op, ins.root = ev.Instance, cs, ev.Op, ev.Root
+		cs.open = append(cs.open, ins)
 	}
 	if ins.op != ev.Op {
 		return nil, fmt.Errorf("stream: collective comm %d instance %d mixes ops %v and %v", ev.Comm, ev.Instance, ins.op, ev.Op)
@@ -701,79 +770,72 @@ func (e *engine) instanceFor(r int, ev *trace.Event, create bool) (*instance, er
 	return ins, nil
 }
 
-// touchColl records that rank has reached instance inst on comm,
+// touchColl records that rank has reached ins on its communicator,
 // enforcing per-communicator instance monotonicity, then re-checks the
 // communicator's open instances for completion.
-func (e *engine) touchColl(r int, comm, inst int32) error {
-	seen, ok := e.lastColl[comm]
-	if !ok {
-		seen = make([]int32, e.src.Ranks())
-		for i := range seen {
-			seen[i] = -1
-		}
-		e.lastColl[comm] = seen
+func (e *engine) touchColl(r int, ins *instance) error {
+	cs, inst := ins.comm, ins.inst
+	if inst < cs.last[r] {
+		return fmt.Errorf("%w: rank %d revisits instance %d on comm %d after instance %d (collectives out of per-communicator order)", ErrUnsupported, r, inst, cs.id, cs.last[r])
 	}
-	if inst < seen[r] {
-		return fmt.Errorf("%w: rank %d revisits instance %d on comm %d after instance %d (collectives out of per-communicator order)", ErrUnsupported, r, inst, comm, seen[r])
-	}
-	seen[r] = inst
-	return e.completeInstances(comm)
+	cs.last[r] = inst
+	return e.completeInstances(cs)
 }
 
-// completeInstances finalizes every open instance of comm that no rank
+// completeInstances finalizes every open instance of cs that no rank
 // can join or extend anymore: each rank has either delivered its end,
 // moved past the instance on this communicator, or finished its stream.
-func (e *engine) completeInstances(comm int32) error {
-	openList := e.open[comm]
-	kept := openList[:0]
-	seen := e.lastColl[comm]
-	for _, ins := range openList {
-		complete := true
-		for r := 0; r < e.src.Ranks(); r++ {
-			if ins.ends[r] {
-				continue
+func (e *engine) completeInstances(cs *commState) error {
+	n := e.src.Ranks()
+	kept := cs.open[:0]
+	for _, ins := range cs.open {
+		// visit the ranks that have not ended, ascending, a word of the
+		// ends set at a time; bi follows them through the begins
+		complete, bi := true, 0
+		for base := 0; base < n && complete; base += 64 {
+			w := ^ins.ends.word(base >> 6)
+			if rem := n - base; rem < 64 {
+				w &= 1<<rem - 1
 			}
-			past := e.done[r] || (seen != nil && seen[r] > ins.key.inst)
-			if !past {
-				complete = false
-				break
-			}
-			if _, begun := ins.begins[r]; begun && !e.sal {
-				return fmt.Errorf("stream: rank %d began collective comm %d instance %d but never ended it", r, comm, ins.key.inst)
+			for ; w != 0; w &= w - 1 {
+				r := base + bits.TrailingZeros64(w)
+				if !e.done[r] && cs.last[r] <= ins.inst {
+					complete = false
+					break
+				}
+				for bi < len(ins.begins) && ins.begins[bi].ref.Rank < r {
+					bi++
+				}
+				if bi < len(ins.begins) && ins.begins[bi].ref.Rank == r && !e.sal {
+					return fmt.Errorf("stream: rank %d began collective comm %d instance %d but never ended it", r, cs.id, ins.inst)
+				}
 			}
 		}
 		if !complete {
 			kept = append(kept, ins)
 			continue
 		}
-		for _, r := range ins.beginOrder() {
-			if e.sal && !ins.ends[r] {
-				// the rank's end was lost in a gap; release the begin
-				e.lossAt(r).BrokenCollectives++
+		for i := range ins.begins {
+			ref := ins.begins[i].ref
+			// the rank held a charge for its begin and, unless its end was
+			// lost in a gap, one for its end (every end has a begin)
+			held := 2
+			if !ins.ends.has(ref.Rank) {
+				held = 1
+				if e.sal {
+					e.lossAt(ref.Rank).BrokenCollectives++
+				}
 			}
-			if err := e.snk.final(ins.begins[r].ref); err != nil {
+			if err := e.snk.final(ref); err != nil {
 				return err
 			}
-			if err := e.acct.add(r, -1); err != nil {
-				return err
-			}
-		}
-		// every end has a begin (process turns the others away), so the
-		// begin order walks the ends ascending too, without a sort
-		for _, r := range ins.beginOrder() {
-			if !ins.ends[r] {
-				continue
-			}
-			if err := e.acct.add(r, -1); err != nil {
+			if err := e.acct.add(ref.Rank, -held); err != nil {
 				return err
 			}
 		}
-		delete(e.insts, ins.key)
+		ins.begins, ins.ends, ins.endsSeen = ins.begins[:0], ins.ends[:0], 0
+		e.free = append(e.free, ins)
 	}
-	if len(kept) == 0 {
-		delete(e.open, comm)
-	} else {
-		e.open[comm] = kept
-	}
+	cs.open = kept
 	return nil
 }

@@ -134,3 +134,49 @@ func TestSlabRecycleAllocs(t *testing.T) {
 		t.Errorf("slab recycle allocates %.3f per cycle, want ~0", avg)
 	}
 }
+
+// TestChannelsStayBounded: a drained channel keeps its map entry for its
+// next message only while the map is small. A trace that uses every
+// channel once (a tag per message) must not grow the map with its
+// length, must not lose a channel that holds a send, and recycles the
+// queues of the channels it closes.
+func TestChannelsStayBounded(t *testing.T) {
+	c := newChannels(8)
+	held := chanKey{from: 1, to: 2, tag: -1}
+	c.push(held, sendEntry{tru: 42})
+	once := func(k chanKey) {
+		c.push(k, sendEntry{})
+		c.pop(k, c.m[k])
+	}
+	for tag := int32(0); tag < 100000; tag++ {
+		once(chanKey{from: 0, to: 1, tag: tag})
+	}
+	if len(c.m) > c.limit+1 {
+		t.Errorf("%d channel entries after 100000 single-use channels, limit %d", len(c.m), c.limit)
+	}
+	if q := c.m[held]; q == nil || q.len() != 1 || q.at(0).tru != 42 {
+		t.Error("a channel with an unmatched send was dropped")
+	}
+	tag := int32(-2)
+	if avg := testing.AllocsPerRun(1000, func() {
+		once(chanKey{from: 0, to: 1, tag: tag})
+		tag--
+	}); avg != 0 {
+		t.Errorf("a single-use channel past the limit allocates %.1f, want 0", avg)
+	}
+
+	// under the limit the entries stay and a message costs two lookups
+	c = newChannels(8)
+	turn := func() {
+		for to := int32(0); to < 512; to++ {
+			once(chanKey{from: 7, to: to})
+		}
+	}
+	turn()
+	if len(c.m) != 512 {
+		t.Errorf("%d entries after one message on each of 512 channels", len(c.m))
+	}
+	if avg := testing.AllocsPerRun(10, turn); avg != 0 {
+		t.Errorf("512 channels in steady use allocate %.0f per round, want 0", avg)
+	}
+}

@@ -29,8 +29,12 @@ const ledgerSeed = 0x1ed6e7
 // every second step, and a frequency jump on every odd rank at a third of
 // the span, which interpolation between the two offset tables cannot
 // follow. Exported for the differential matrix in diff_test.go.
-func PaperCaseSpec(seed uint64) SynthSpec {
-	spec := SynthSpec{Ranks: 16, Steps: 48, CollEvery: 2, Seed: seed}
+func PaperCaseSpec(seed uint64) SynthSpec { return PaperCaseSteps(seed, 48) }
+
+// PaperCaseSteps is PaperCaseSpec at another length (the alloc-rate test
+// compares two).
+func PaperCaseSteps(seed uint64, steps int) SynthSpec {
+	spec := SynthSpec{Ranks: 16, Steps: steps, CollEvery: 2, Seed: seed}
 	span := float64(spec.Steps+spec.Steps/spec.CollEvery) * 1e-3
 	var faults []faultinject.ClockFault
 	for r := 1; r < spec.Ranks; r += 2 {
@@ -378,10 +382,56 @@ func TestLedgerRecycleAllocs(t *testing.T) {
 	if len(d.s.msgs.recs) > 8*lag || len(d.s.colls.recs) > 8*lag {
 		t.Fatalf("records are not recycled: %d edge and %d instance slots after %d steps", len(d.s.msgs.recs), len(d.s.colls.recs), step)
 	}
-	// AllocsPerRun reports whole allocations per run, so the deques'
-	// amortized regrowth (one per few dozen events) rounds away and a
-	// ledger that allocated once per record would read 1 or more.
 	if avg := testing.AllocsPerRun(2000, run); avg != 0 {
 		t.Errorf("steady-state ledger traffic allocates %.0f per step, want 0", avg)
+	}
+}
+
+// TestPumpScanSteps: a ramp job that waits on one non-final tail is asked
+// again by every later event and final of its rank. Each retry must pick
+// the readiness scan up at the blocking entry, not walk the whole reach
+// down to it again: n entries between the jump and the tail and n events
+// after the jump cost O(n) inspected entries in total, where restarting
+// cost n per retry.
+func TestPumpScanSteps(t *testing.T) {
+	const (
+		n  = 2000
+		dt = 1e-6 // n·dt stays far inside the 0.5 s backward window
+	)
+	d := newSinkDriver(t, 2, clc.DefaultOptions())
+	held := d.event(0, trace.Send, 1) // its receive never comes: not final
+	for i := 1; i <= n; i++ {
+		d.local(0, trace.Exit, 1+float64(i)*dt)
+	}
+	// a receive forced 0.1 s ahead of its own clock: a jump, whose ramp
+	// reaches back over everything above
+	far := d.event(1, trace.Send, 1.1)
+	rcv := d.event(0, trace.Recv, 1+float64(n+1)*dt, far.edge(false))
+	d.final(far.ref, rcv.ref)
+	r := &d.s.ranks[0]
+	if r.jobs.len() != 1 || r.deque.len() != n+2 {
+		t.Fatalf("set-up left %d jobs and %d entries, want 1 and %d", r.jobs.len(), r.deque.len(), n+2)
+	}
+	before := r.scanned
+	for i := 0; i < n; i++ {
+		d.local(0, trace.Exit, 1.2+float64(i)*dt)
+	}
+	if r.jobs.len() == 0 {
+		t.Fatal("the job applied while its tail was still open")
+	}
+	steps := r.scanned - before
+	t.Logf("%d retries inspected %d entries", 2*n, steps)
+	if steps > 4*n {
+		t.Errorf("%d retries inspected %d entries, want O(n): at most %d", 2*n, steps, 4*n)
+	}
+	d.final(held.ref)
+	if r.jobs.len() != 0 {
+		t.Errorf("%d jobs still wait after the tail's final", r.jobs.len())
+	}
+	if r.scanned > before+5*n {
+		t.Errorf("the whole run inspected %d entries, want at most %d", r.scanned, before+5*n)
+	}
+	if err := d.flush(); err != nil {
+		t.Fatal(err)
 	}
 }

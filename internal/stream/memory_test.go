@@ -153,3 +153,75 @@ func TestTenThousandRankHeapBudget(t *testing.T) {
 		t.Errorf("peak live heap %d bytes exceeds the %d-byte budget (96 KiB per rank)", peak, budget)
 	}
 }
+
+// TestWalkAllocsPerEvent: the engine's per-event state recycles (ring
+// queues, pooled collective instances, channel records that stay), so a
+// longer trace costs no more allocations than a short one beyond what
+// slab-pool refills after a collection add. Each job runs at two lengths
+// 4x apart; the allocations of the longer run less the shorter one's,
+// per extra event, must stay at or under 0.01. (A slice-slide deque, a
+// FIFO slice per message and two maps per collective instance read about
+// 0.24 here.)
+func TestWalkAllocsPerEvent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race build inflates allocation counts")
+	}
+	pipeline := func(opt stream.Options) func(*stream.Source, []measure.Offset, []measure.Offset) error {
+		return func(src *stream.Source, init, fin []measure.Offset) error {
+			_, err := (stream.Pipeline{Base: core.BaseInterp, CLC: true, Options: opt}).Run(src, io.Discard, init, fin)
+			return err
+		}
+	}
+	census := func(opt stream.Options) func(*stream.Source, []measure.Offset, []measure.Offset) error {
+		return func(src *stream.Source, _, _ []measure.Offset) error {
+			_, _, err := stream.Census(src, opt)
+			return err
+		}
+	}
+	specs := []struct {
+		name string
+		at   func(steps int) stream.SynthSpec
+		base int // steps of the shorter run
+	}{
+		{"8rank-coll10", func(steps int) stream.SynthSpec {
+			return stream.SynthSpec{Ranks: 8, Steps: steps, CollEvery: 10, Seed: xrand.SeedAt(memorySeed, 3)}
+		}, 1500},
+		{"paper-case", func(steps int) stream.SynthSpec {
+			return stream.PaperCaseSteps(xrand.SeedAt(memorySeed, 4), steps)
+		}, 400},
+	}
+	jobs := []struct {
+		name string
+		run  func(stream.Options) func(*stream.Source, []measure.Offset, []measure.Offset) error
+	}{{"pipeline", pipeline}, {"census", census}}
+	for _, spec := range specs {
+		for _, job := range jobs {
+			for _, shards := range []int{1, 4} {
+				name := spec.name + "/" + job.name + "/flat"
+				if shards > 1 {
+					name = spec.name + "/" + job.name + "/shards4"
+				}
+				t.Run(name, func(t *testing.T) {
+					run := job.run(stream.Options{Shards: shards})
+					measure := func(steps int) (allocs float64, events int64) {
+						path, init, fin := synthFile(t, spec.at(steps))
+						src := openSource(t, path)
+						return testing.AllocsPerRun(3, func() {
+							if err := run(src, init, fin); err != nil {
+								t.Fatal(err)
+							}
+						}), src.Events()
+					}
+					shortAllocs, shortEvents := measure(spec.base)
+					longAllocs, longEvents := measure(4 * spec.base)
+					rate := (longAllocs - shortAllocs) / float64(longEvents-shortEvents)
+					t.Logf("%.0f allocations over %d events, %.0f over %d: %.4f per extra event",
+						shortAllocs, shortEvents, longAllocs, longEvents, rate)
+					if rate > 0.01 {
+						t.Errorf("%.4f allocations per extra event, want at most 0.01", rate)
+					}
+				})
+			}
+		}
+	}
+}

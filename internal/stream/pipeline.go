@@ -247,12 +247,13 @@ func encodeStage(ew *trace.EventWriter, pool *slabPool, in <-chan encMsg, res ch
 }
 
 // assembleMeasure is the final pass of every job that maps timestamps:
-// one rank-major decode whose slabs are timestamp-mapped in place,
-// measured for distortion, and, unless out is nil, handed to the
-// concurrent encode stage. The sweep replicates
-// analysis.DistortionBetween over (raw, mapped) pairs in the in-memory
-// traversal order, so every bit of MeanAbs matches, and the encoder is
-// the one trace.Write uses, so the output bytes do too.
+// three overlapped stages over one rank-major decode. A decodeRank stage
+// fills slabs ahead; this goroutine maps their timestamps in place and
+// measures the distortion; the encode stage, unless out is nil, writes
+// them. The sweep replicates analysis.DistortionBetween over (raw,
+// mapped) pairs in the in-memory traversal order on this one goroutine,
+// so every bit of MeanAbs matches, and the encoder is the one trace.Write
+// uses, so the output bytes do too.
 func assembleMeasure(ctx context.Context, src *Source, m timeMapper, out io.Writer, opt Options) (analysis.Distortion, error) {
 	var d analysis.Distortion
 	var ew *trace.EventWriter
@@ -263,6 +264,9 @@ func assembleMeasure(ctx context.Context, src *Source, m timeMapper, out io.Writ
 		}
 	}
 	pool := newSlabPool(opt.Batch)
+	// stop releases the decode stage if the sweep ends before draining it
+	stop := make(chan struct{})
+	defer close(stop)
 	in := make(chan encMsg, 1)
 	res := make(chan error, 1)
 	go encodeStage(ew, pool, in, res)
@@ -277,19 +281,20 @@ func assembleMeasure(ctx context.Context, src *Source, m timeMapper, out io.Writ
 	for rank := 0; rank < src.Ranks(); rank++ {
 		ph := src.Procs()[rank]
 		in <- encMsg{ph: &ph}
-		cur := src.Cursor(rank)
+		dec := src.slabCursor(rank, pool, stop).ch
 		var prevRaw, prevFin float64
 		for idx := 0; idx < ph.EventCount; {
 			if cerr := ctx.Err(); cerr != nil {
 				return finish(cerr)
 			}
-			s := pool.get()
-			if ferr := cur.fill(s); ferr != nil {
+			msg, ok := <-dec
+			if !ok {
+				return finish(io.ErrUnexpectedEOF)
+			}
+			s := msg.s
+			if msg.err != nil {
 				pool.put(s)
-				if ferr == io.EOF {
-					ferr = io.ErrUnexpectedEOF
-				}
-				return finish(ferr)
+				return finish(msg.err)
 			}
 			for i := range s.evs {
 				ev := &s.evs[i]

@@ -166,56 +166,6 @@ func (mp *mslabPool) put(m *mslab) {
 	mp.p.Put(m)
 }
 
-// shardHeap orders a shard's local rank slots by their head event's
-// (True, rank) — the same comparison as the root and the flat
-// mergeHeap, restricted to the shard's contiguous range.
-type shardHeap struct {
-	heads []*trace.Event
-	s     []int
-}
-
-func (h *shardHeap) less(a, b int) bool {
-	ta, tb := h.heads[a].True, h.heads[b].True
-	if ta != tb { //tsync:exact — heap order on oracle times; ties break by rank below
-		return ta < tb
-	}
-	return a < b
-}
-
-func (h *shardHeap) push(i int) {
-	h.s = append(h.s, i)
-	for j := len(h.s) - 1; j > 0; {
-		p := (j - 1) / 2
-		if !h.less(h.s[j], h.s[p]) {
-			break
-		}
-		h.s[j], h.s[p] = h.s[p], h.s[j]
-		j = p
-	}
-}
-
-func (h *shardHeap) pop() int {
-	top := h.s[0]
-	last := len(h.s) - 1
-	h.s[0] = h.s[last]
-	h.s = h.s[:last]
-	for j := 0; ; {
-		c := 2*j + 1
-		if c >= last {
-			break
-		}
-		if rgt := c + 1; rgt < last && h.less(h.s[rgt], h.s[c]) {
-			c = rgt
-		}
-		if !h.less(h.s[c], h.s[j]) {
-			break
-		}
-		h.s[j], h.s[c] = h.s[c], h.s[j]
-		j = c
-	}
-	return top
-}
-
 // mergeShard is one shard worker: it merges ranks [lo, hi) in (True,
 // rank) order and streams the result as mslab batches. A decode error
 // ends the stream after the events that preceded it (carried on the
@@ -224,10 +174,8 @@ func (h *shardHeap) pop() int {
 // nothing.
 func mergeShard(src *Source, lo, hi, slabCap int, pool *mslabPool, out chan<- *mslab, stop <-chan struct{}) {
 	defer close(out)
-	n := hi - lo
-	curs := make([]*syncCursor, n)
-	heads := make([]*trace.Event, n)
-	h := shardHeap{heads: heads}
+	curs := make([]*syncCursor, hi-lo)
+	h := make(headHeap, 0, hi-lo)
 	emit := pool.get()
 	send := func(m *mslab) bool {
 		select {
@@ -238,40 +186,40 @@ func mergeShard(src *Source, lo, hi, slabCap int, pool *mslabPool, out chan<- *m
 			return false
 		}
 	}
-	// advance loads slot i's next head; on error it attaches the error
-	// to the pending batch and flushes, ending the stream.
-	advance := func(i int) (ok, alive bool) {
-		ev, err := curs[i].nextRef()
-		if err == io.EOF {
-			return true, true
-		}
-		if err != nil {
-			emit.err = err
-			return false, send(emit)
-		}
-		heads[i] = ev
-		h.push(i)
-		return true, true
+	// fail attaches a decode error to the pending batch and flushes it,
+	// ending the stream.
+	fail := func(err error) {
+		emit.err = err
+		send(emit)
 	}
-	for i := 0; i < n; i++ {
+	for i := range curs {
 		curs[i] = newSyncCursor(src.Cursor(lo+i), slabCap)
-		if ok, _ := advance(i); !ok {
+		switch ev, err := curs[i].nextRef(); {
+		case err == io.EOF:
+		case err != nil:
+			fail(err)
 			return
+		default:
+			h.push(head{ev: ev, tru: ev.True, rank: int32(lo + i), src: int32(i)})
 		}
 	}
-	for len(h.s) > 0 {
-		i := h.pop()
-		emit.evs = append(emit.evs, *heads[i])
-		emit.ranks = append(emit.ranks, int32(lo+i))
+	for len(h) > 0 {
+		top := h[0]
+		emit.evs = append(emit.evs, *top.ev)
+		emit.ranks = append(emit.ranks, top.rank)
 		if len(emit.evs) == cap(emit.evs) {
 			if !send(emit) {
 				return
 			}
 			emit = pool.get()
 		}
-		if ok, _ := advance(i); !ok {
+		// at io.EOF ev is nil and the rank leaves the heap
+		ev, err := curs[top.src].nextRef()
+		if err != nil && err != io.EOF {
+			fail(err)
 			return
 		}
+		h.advance(ev, top.rank)
 	}
 	if len(emit.evs) > 0 {
 		send(emit)
@@ -289,79 +237,24 @@ type shardStream struct {
 
 // treeMerger implements merged over shard workers: prime(0) launches
 // the workers and loads every shard's first head; next runs the root
-// merge with the same deferred-refill discipline as flatMerger, so a
-// shard's mslab is recycled only after its last event was processed.
+// merge with the same deferred advance as flatMerger, so a shard's mslab
+// is recycled only after its last event was processed. Shards cover
+// disjoint contiguous rank ranges, so (True, rank) is a strict total
+// order over the shard heads.
 type treeMerger struct {
-	e       *engine
 	pool    *mslabPool
 	streams []*shardStream
-	heads   []*trace.Event // current head event per shard
-	headR   []int32        // rank of each shard head
-	h       rootHeap
-	pending int // shard to refill before the next pop; -1 = none
+	h       headHeap
+	taken   bool // the top was returned and is advanced before the next read
 }
 
-// rootHeap orders shards by their head event's (True, rank). Shards
-// cover disjoint contiguous rank ranges, so the comparison is a strict
-// total order over the live shard heads.
-type rootHeap struct {
-	t *treeMerger
-	s []int
-}
-
-func (h *rootHeap) less(a, b int) bool {
-	ta, tb := h.t.heads[a].True, h.t.heads[b].True
-	if ta != tb { //tsync:exact — heap order on oracle times; ties break by rank below
-		return ta < tb
-	}
-	return h.t.headR[a] < h.t.headR[b]
-}
-
-func (h *rootHeap) push(i int) {
-	h.s = append(h.s, i)
-	for j := len(h.s) - 1; j > 0; {
-		p := (j - 1) / 2
-		if !h.less(h.s[j], h.s[p]) {
-			break
-		}
-		h.s[j], h.s[p] = h.s[p], h.s[j]
-		j = p
-	}
-}
-
-func (h *rootHeap) pop() int {
-	top := h.s[0]
-	last := len(h.s) - 1
-	h.s[0] = h.s[last]
-	h.s = h.s[:last]
-	for j := 0; ; {
-		c := 2*j + 1
-		if c >= last {
-			break
-		}
-		if rgt := c + 1; rgt < last && h.less(h.s[rgt], h.s[c]) {
-			c = rgt
-		}
-		if !h.less(h.s[c], h.s[j]) {
-			break
-		}
-		h.s[j], h.s[c] = h.s[c], h.s[j]
-		j = c
-	}
-	return top
-}
-
-func newTreeMerger(e *engine, src *Source, opt Options, shards int, stop chan struct{}) *treeMerger {
+func newTreeMerger(src *Source, opt Options, shards int, stop chan struct{}) *treeMerger {
 	n := src.Ranks()
 	t := &treeMerger{
-		e:       e,
 		pool:    newMslabPool(opt.Batch),
 		streams: make([]*shardStream, shards),
-		heads:   make([]*trace.Event, shards),
-		headR:   make([]int32, shards),
-		pending: -1,
+		h:       make(headHeap, 0, shards),
 	}
-	t.h.t = t
 	slabCap := workerSlabCap(opt.Batch, n)
 	for i := 0; i < shards; i++ {
 		lo, hi := shardBounds(i, shards, n)
@@ -372,30 +265,27 @@ func newTreeMerger(e *engine, src *Source, opt Options, shards int, stop chan st
 	return t
 }
 
-// refill loads shard si's next head into the root heap, pulling the
-// next mslab when the current one drains. io.EOF (shard exhausted) is
-// absorbed; a shard decode error surfaces to the walk.
-func (t *treeMerger) refill(si int) error {
+// head returns shard si's next event and its rank, pulling the next
+// mslab when the current one drains. An exhausted shard returns a nil
+// event; a shard decode error surfaces to the walk.
+func (t *treeMerger) head(si int32) (*trace.Event, int32, error) {
 	s := t.streams[si]
 	for {
 		if s.cur != nil && s.pos < len(s.cur.evs) {
-			t.heads[si] = &s.cur.evs[s.pos]
-			t.headR[si] = s.cur.ranks[s.pos]
 			s.pos++
-			t.h.push(si)
-			return nil
+			return &s.cur.evs[s.pos-1], s.cur.ranks[s.pos-1], nil
 		}
 		if s.cur != nil {
 			if err := s.cur.err; err != nil {
 				s.cur.err = nil
-				return err
+				return nil, 0, err
 			}
 			t.pool.put(s.cur)
 			s.cur = nil
 		}
 		m, ok := <-s.ch
 		if !ok {
-			return nil
+			return nil, 0, nil
 		}
 		s.cur, s.pos = m, 0
 	}
@@ -410,24 +300,29 @@ func (t *treeMerger) prime(r int) error {
 		return nil
 	}
 	for si := range t.streams {
-		if err := t.refill(si); err != nil {
+		ev, rank, err := t.head(int32(si))
+		if err != nil {
 			return err
+		}
+		if ev != nil {
+			t.h.push(head{ev: ev, tru: ev.True, rank: rank, src: int32(si)})
 		}
 	}
 	return nil
 }
 
 func (t *treeMerger) next() (int, *trace.Event, error) {
-	if si := t.pending; si >= 0 {
-		t.pending = -1
-		if err := t.refill(si); err != nil {
+	if t.taken {
+		t.taken = false
+		ev, rank, err := t.head(t.h[0].src)
+		if err != nil {
 			return 0, nil, err
 		}
+		t.h.advance(ev, rank)
 	}
-	if len(t.h.s) == 0 {
+	if len(t.h) == 0 {
 		return 0, nil, io.EOF
 	}
-	si := t.h.pop()
-	t.pending = si
-	return int(t.headR[si]), t.heads[si], nil
+	t.taken = true
+	return int(t.h[0].rank), t.h[0].ev, nil
 }

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -160,14 +159,21 @@ func (s *spillSet) Close() error {
 	return err
 }
 
-// spillWriter appends float64s to one rank's stream. The scratch field
-// keeps the hot path allocation-free: a stack buffer passed to the
-// io.Writer interface would escape on every call.
+// spillBuf is the size of every spill read and write: bufio's default,
+// which the floats used to go through one 8-byte call each, so a SpillFS
+// sees the call sequence it always has (the fault tests count on it).
+const spillBuf = 4096
+
+// spillWriter appends float64s to one rank's stream, one Write per
+// spillBuf bytes. Like bufio it writes a full buffer out when the next
+// float arrives, not when the last one fit, and once a Write has failed
+// it keeps failing.
 type spillWriter struct {
-	h       *spillHandle
-	bw      *bufio.Writer
-	n       int64
-	scratch [8]byte
+	h   *spillHandle
+	f   io.Writer
+	buf [spillBuf]byte
+	n   int // bytes buffered
+	err error
 }
 
 func (s *spillSet) writer(rank int) (*spillWriter, error) {
@@ -179,22 +185,66 @@ func (s *spillSet) writer(rank int) (*spillWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &spillWriter{h: h, bw: bufio.NewWriter(f)}, nil
+	return &spillWriter{h: h, f: f}, nil
 }
 
 func (w *spillWriter) write(v float64) error {
-	binary.LittleEndian.PutUint64(w.scratch[:], math.Float64bits(v))
-	_, err := w.bw.Write(w.scratch[:])
-	w.n++
-	return err
+	if w.n == len(w.buf) {
+		if err := w.flush(); err != nil {
+			return err
+		}
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.n:], math.Float64bits(v))
+	w.n += 8
+	return nil
+}
+
+func (w *spillWriter) flush() error {
+	if w.err == nil && w.n > 0 {
+		n, err := w.f.Write(w.buf[:w.n])
+		if err == nil && n < w.n {
+			err = io.ErrShortWrite
+		}
+		if w.err = err; err == nil {
+			w.n = 0
+		}
+	}
+	return w.err
 }
 
 func (w *spillWriter) close() error {
-	err := w.bw.Flush()
+	err := w.flush()
 	if cerr := w.h.Close(); err == nil {
 		err = cerr
 	}
 	return err
+}
+
+// spillReader reads one rank's stream back, one Read per spillBuf bytes.
+type spillReader struct {
+	f    io.Reader
+	buf  [spillBuf]byte
+	r, w int // buf[r:w] is unread
+}
+
+// next returns the stream's next float: io.EOF at a clean end,
+// io.ErrUnexpectedEOF inside a float.
+func (rd *spillReader) next() (float64, error) {
+	if rd.w-rd.r < 8 {
+		// a Read may end inside a float: its head moves to the front
+		rd.w = copy(rd.buf[:], rd.buf[rd.r:rd.w])
+		rd.r = 0
+		n, err := io.ReadAtLeast(rd.f, rd.buf[rd.w:], 8-rd.w)
+		if rd.w += n; err != nil {
+			if err == io.EOF && rd.w > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(rd.buf[rd.r:]))
+	rd.r += 8
+	return v, nil
 }
 
 // spillMapper replays a spillSet as a timeMapper: each rank's floats are
@@ -202,22 +252,21 @@ func (w *spillWriter) close() error {
 // closes them with everything else.
 type spillMapper struct {
 	set     *spillSet
-	readers []*bufio.Reader
+	readers []*spillReader
 	next    []int
-	// scratch keeps the read allocation-free, as in spillWriter.
-	scratch [8]byte
 }
 
 func (s *spillSet) mapper() *spillMapper {
 	return &spillMapper{
 		set:     s,
-		readers: make([]*bufio.Reader, len(s.names)),
+		readers: make([]*spillReader, len(s.names)),
 		next:    make([]int, len(s.names)),
 	}
 }
 
 func (m *spillMapper) mapTime(rank, idx int, _ *trace.Event) (float64, error) {
-	if m.readers[rank] == nil {
+	rd := m.readers[rank]
+	if rd == nil {
 		f, err := m.set.fs.Open(m.set.names[rank])
 		if err != nil {
 			return 0, err
@@ -225,15 +274,16 @@ func (m *spillMapper) mapTime(rank, idx int, _ *trace.Event) (float64, error) {
 		if _, err := m.set.track(f); err != nil {
 			return 0, err
 		}
-		m.readers[rank] = bufio.NewReader(f)
+		rd = &spillReader{f: f}
+		m.readers[rank] = rd
 	}
 	if idx != m.next[rank] {
 		return 0, fmt.Errorf("stream: spill read out of order: rank %d idx %d (want %d)", rank, idx, m.next[rank])
 	}
 	m.next[rank]++
-	buf := m.scratch[:]
-	if _, err := io.ReadFull(m.readers[rank], buf); err != nil {
+	v, err := rd.next()
+	if err != nil {
 		return 0, fmt.Errorf("stream: spill read rank %d idx %d: %w", rank, idx, err)
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf)), nil
+	return v, nil
 }

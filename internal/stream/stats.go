@@ -29,12 +29,11 @@ func SummarizeContext(ctx context.Context, src *Source) (trace.Summary, []RankLo
 		ByKind:  map[string]int{},
 		Regions: map[string]int{},
 	}
-	regionName := func(id int32) string {
-		if id >= 0 && int(id) < len(h.Regions) {
-			return h.Regions[id]
-		}
-		return "?"
-	}
+	// Counted by kind and by region id, the last region slot taking every
+	// id the header does not name, and keyed by name once at the end: a
+	// string-keyed map update per event cost more than its decode.
+	var byKind [256]int
+	regions := make([]int, len(h.Regions)+1)
 	minT, maxT := 0.0, 0.0
 	minTrue, maxTrue := 0.0, 0.0
 	first := true
@@ -55,9 +54,13 @@ func SummarizeContext(ctx context.Context, src *Source) (trace.Summary, []RankLo
 				return trace.Summary{}, nil, err
 			}
 			s.Events++
-			s.ByKind[ev.Kind.String()]++
+			byKind[uint8(ev.Kind)]++
 			if ev.Kind == trace.Enter {
-				s.Regions[regionName(ev.Region)]++
+				id := int(ev.Region)
+				if id < 0 || id >= len(h.Regions) {
+					id = len(h.Regions)
+				}
+				regions[id]++
 			}
 			if ev.Kind == trace.Send {
 				s.Bytes += int64(ev.Bytes)
@@ -80,6 +83,20 @@ func SummarizeContext(ctx context.Context, src *Source) (trace.Summary, []RankLo
 			if ev.True > maxTrue {
 				maxTrue = ev.True
 			}
+		}
+	}
+	for k, n := range byKind {
+		if n > 0 {
+			s.ByKind[trace.Kind(k).String()] = n
+		}
+	}
+	for id, n := range regions {
+		name := "?"
+		if id < len(h.Regions) {
+			name = h.Regions[id]
+		}
+		if n > 0 {
+			s.Regions[name] += n // two ids may carry one name
 		}
 	}
 	s.SpanTime = maxT - minT
