@@ -45,7 +45,7 @@ func main() {
 		collEvery = flag.Int("collevery", 10, "collective round every N steps, 0 for none (with -synth)")
 		v2        = flag.Bool("v2", false, "write the checksummed v2 framing (self-synchronizing; tracesync/tracestat -salvage can recover around corruption)")
 		frame     = flag.Int("frame", 0, "v2 frame size in events (0 = default)")
-		columnar  = flag.Bool("columnar", false, "encode v2 frames column-major with delta-varint timestamps (smaller and faster to decode; implies -v2)")
+		columnar  = flag.Bool("columnar", false, "encode v2 frames column-major with delta-varint timestamps (about 15% smaller than row frames on a -synth trace, about 15% more CPU to decode; implies -v2)")
 	)
 	flag.Parse()
 

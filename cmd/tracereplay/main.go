@@ -147,7 +147,7 @@ func run(o options) (partial bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	stamp, err := stream.ReplayStampContext(ctx, src, corr, cfg, stream.Options{Salvage: o.salvage})
+	stamp, err := stream.ReplayStampContext(ctx, src, corr, cfg, stream.Options{})
 	if err != nil {
 		return false, err
 	}

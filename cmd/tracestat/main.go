@@ -110,7 +110,7 @@ func runStreaming(o options) (bool, error) {
 		return false, err
 	}
 	fmt.Print(sum.String())
-	census, stats, err := stream.CensusContext(ctx, src, stream.Options{Window: o.window, Policy: policy, Shards: o.shards, Salvage: o.salvage})
+	census, stats, err := stream.CensusContext(ctx, src, stream.Options{Window: o.window, Policy: policy, Shards: o.shards})
 	if err != nil {
 		return false, err
 	}
@@ -121,7 +121,7 @@ func runStreaming(o options) (bool, error) {
 	}
 	fmt.Println("; run with -timeline for wait-state, latency, and region-profile analyses")
 	if o.fingerprint {
-		rep, _, err := stream.FingerprintContext(ctx, src, stream.Options{Salvage: o.salvage}, fingerprint.Options{})
+		rep, _, err := stream.FingerprintContext(ctx, src, stream.Options{}, fingerprint.Options{})
 		if err != nil {
 			return false, err
 		}

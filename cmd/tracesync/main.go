@@ -174,7 +174,7 @@ func runStreaming(o options, side sidecar) (bool, error) {
 	}
 	p := stream.Pipeline{
 		Base: b, CLC: o.withCLC,
-		Options: stream.Options{Window: o.window, Policy: policy, Shards: o.shards, Salvage: o.salvage},
+		Options: stream.Options{Window: o.window, Policy: policy, Shards: o.shards},
 	}
 	if o.fingerprint {
 		p.Fingerprint = &fingerprint.Options{}

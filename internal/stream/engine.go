@@ -198,9 +198,9 @@ type engine struct {
 	opt    Options
 	acct   *accounting
 
-	// sal tolerates salvage fallout (see Options.Salvage); loss receives
-	// the per-rank counters when non-nil. lossSink absorbs counts when
-	// loss is nil.
+	// sal tolerates salvage fallout (see SourceOptions.Salvage); loss
+	// receives the per-rank counters when non-nil. lossSink absorbs
+	// counts when loss is nil.
 	sal      bool
 	loss     []RankLoss
 	lossSink RankLoss
@@ -309,15 +309,17 @@ type merged interface {
 // walk merges src's ranks and feeds snk. ctx is checked between events
 // (every ctxCheckEvery merge steps), so cancellation surfaces within one
 // slab's worth of work; the deferred stop release makes every decode and
-// shard-merge goroutine exit before walk returns. loss, when non-nil,
-// receives the engine-side salvage counters (one entry per rank).
+// shard-merge goroutine exit before walk returns. acct is the job's
+// (see begin); its Stats.Loss, when non-nil, receives the engine-side
+// salvage counters (one entry per rank).
 //
 // Rank completion is count-driven: the cursors deliver exactly the
 // retained event counts the index pass recorded (Source.Procs), so a
 // rank is done the moment its count of events has been processed —
 // equivalent to the historical cursor-EOF signal, but independent of
 // which merger feeds the engine.
-func walk(ctx context.Context, src *Source, m timeMapper, snk sink, opt Options, acct *accounting, loss []RankLoss) error {
+func walk(ctx context.Context, src *Source, m timeMapper, snk sink, acct *accounting) error {
+	opt := acct.opt
 	n := src.Ranks()
 	// stop tears the merge stages down if the walk exits before
 	// draining them (sink error, malformed trace, cancellation).
@@ -326,8 +328,8 @@ func walk(ctx context.Context, src *Source, m timeMapper, snk sink, opt Options,
 	e := &engine{
 		src: src, mapper: m, snk: snk, opt: opt,
 		acct:  acct,
-		sal:   opt.Salvage || src.Salvaged(),
-		loss:  loss,
+		sal:   src.pol.Enabled,
+		loss:  acct.stats.Loss,
 		idx:   make([]int, n),
 		done:  make([]bool, n),
 		fifos: newChannels(n),

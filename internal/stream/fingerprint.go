@@ -40,12 +40,8 @@ func Fingerprint(src *Source, opt Options, fpo fingerprint.Options) (*fingerprin
 
 // FingerprintContext is Fingerprint under a context.
 func FingerprintContext(ctx context.Context, src *Source, opt Options, fpo fingerprint.Options) (*fingerprint.Report, Stats, error) {
-	opt = opt.Normalize()
 	var st Stats
-	st.Events = src.Events()
-	if opt.Salvage || src.Salvaged() {
-		st.Loss = src.Losses()
-	}
+	begin(src, opt, &st)
 	tr := fingerprint.NewTracker(src.Ranks(), fpo)
 	ticks := 0
 	var ev trace.Event

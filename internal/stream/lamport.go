@@ -85,13 +85,9 @@ func LamportScheduleContext(ctx context.Context, src *Source, delta float64, out
 	if delta <= 0 {
 		return Stats{}, fmt.Errorf("stream: LamportSchedule needs positive delta, got %v", delta)
 	}
-	opt = opt.Normalize()
 	var stats Stats
-	stats.Events = src.Events()
-	if opt.Salvage || src.Salvaged() {
-		stats.Loss = src.Losses()
-	}
-	spills, err := newSpillSet(src.Ranks(), opt.SpillFS)
+	acct := begin(src, opt, &stats)
+	spills, err := newSpillSet(src.Ranks(), acct.opt.SpillFS)
 	if err != nil {
 		return stats, err
 	}
@@ -100,9 +96,9 @@ func LamportScheduleContext(ctx context.Context, src *Source, delta float64, out
 	if err != nil {
 		return stats, err
 	}
-	if err := walk(ctx, src, identityMapper{}, snk, opt, newAccounting(src.Ranks(), opt, &stats), stats.Loss); err != nil {
+	if err := walk(ctx, src, identityMapper{}, snk, acct); err != nil {
 		return stats, err
 	}
-	_, err = assembleMeasure(ctx, src, spills.mapper(), out, opt)
+	_, err = assembleMeasure(ctx, src, spills.mapper(), out, acct.opt)
 	return stats, err
 }

@@ -57,7 +57,7 @@ func rewalk(t *testing.T, src *Source, fs SpillFS, gamma float64, opt Options) (
 	m := set.mapper()
 	second := &censusSink{gamma: gamma}
 	var stats Stats
-	if err := walk(context.Background(), src, m, second, opt, newAccounting(src.Ranks(), opt, &stats), nil); err != nil {
+	if err := walk(context.Background(), src, m, second, newAccounting(src.Ranks(), opt, &stats)); err != nil {
 		t.Fatalf("rewalk: %v", err)
 	}
 	return second.mapped, second.violations

@@ -102,7 +102,6 @@ func (p Pipeline) RunContext(ctx context.Context, src *Source, out io.Writer, in
 // runContext is the pipeline body shared by every entry path; Session
 // owns the lifecycle around it.
 func (p Pipeline) runContext(ctx context.Context, src *Source, out io.Writer, init, fin []measure.Offset) (*Result, error) {
-	opt := p.Options.Normalize()
 	mapper, err := p.baseMapper(init, fin)
 	if err != nil {
 		return nil, err
@@ -124,12 +123,7 @@ func (p Pipeline) runContext(ctx context.Context, src *Source, out io.Writer, in
 	}
 
 	res := &Result{}
-	res.Stats.Events = src.Events()
-	if opt.Salvage || src.Salvaged() {
-		// start from the decode-side losses; the first walk adds the
-		// engine-side counters in place
-		res.Stats.Loss = src.Losses()
-	}
+	acct := begin(src, p.Options, &res.Stats)
 	first := &censusSink{gamma: opts.Gamma}
 	// The fingerprint stage tees into the first walk as a pure
 	// observer; its EdgeData is discarded (the tee keeps the b side's).
@@ -142,17 +136,16 @@ func (p Pipeline) runContext(ctx context.Context, src *Source, out io.Writer, in
 	var spills *spillSet
 
 	if p.CLC {
-		spills, err = newSpillSet(src.Ranks(), opt.SpillFS)
+		spills, err = newSpillSet(src.Ranks(), acct.opt.SpillFS)
 		if err != nil {
 			return nil, err
 		}
 		defer spills.Close()
-		acct := newAccounting(src.Ranks(), opt, &res.Stats)
 		clcS, err := newCLCSink(src.Ranks(), opts, acct, &res.CLCReport, spills, src.lmin)
 		if err != nil {
 			return nil, err
 		}
-		if err := walk(ctx, src, mapper, teeSink{a: firstSink, b: clcS}, opt, acct, res.Stats.Loss); err != nil {
+		if err := walk(ctx, src, mapper, teeSink{a: firstSink, b: clcS}, acct); err != nil {
 			return nil, err
 		}
 		res.CLCReport.ViolationsBefore = first.violations
@@ -163,7 +156,7 @@ func (p Pipeline) runContext(ctx context.Context, src *Source, out io.Writer, in
 		res.After = clcS.after
 		res.After.TotalEvents, res.After.MessageEvents = first.raw.TotalEvents, first.raw.MessageEvents
 	} else {
-		if err := walk(ctx, src, mapper, firstSink, opt, newAccounting(src.Ranks(), opt, &res.Stats), res.Stats.Loss); err != nil {
+		if err := walk(ctx, src, mapper, firstSink, acct); err != nil {
 			return nil, err
 		}
 		res.Before = first.raw
@@ -179,7 +172,7 @@ func (p Pipeline) runContext(ctx context.Context, src *Source, out io.Writer, in
 	if spills != nil {
 		final = spills.mapper()
 	}
-	res.Distortion, err = assembleMeasure(ctx, src, final, out, opt)
+	res.Distortion, err = assembleMeasure(ctx, src, final, out, acct.opt)
 	if err != nil {
 		return nil, err
 	}
@@ -194,14 +187,10 @@ func Census(src *Source, opt Options) (analysis.Census, Stats, error) {
 
 // CensusContext is Census under a context.
 func CensusContext(ctx context.Context, src *Source, opt Options) (analysis.Census, Stats, error) {
-	opt = opt.Normalize()
 	var stats Stats
-	stats.Events = src.Events()
-	if opt.Salvage || src.Salvaged() {
-		stats.Loss = src.Losses()
-	}
+	acct := begin(src, opt, &stats)
 	s := &censusSink{gamma: clc.DefaultOptions().Gamma}
-	if err := walk(ctx, src, identityMapper{}, s, opt, newAccounting(src.Ranks(), opt, &stats), stats.Loss); err != nil {
+	if err := walk(ctx, src, identityMapper{}, s, acct); err != nil {
 		return analysis.Census{}, stats, err
 	}
 	return s.raw, stats, nil

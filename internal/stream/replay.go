@@ -69,18 +69,14 @@ func ReplayStamp(src *Source, corr *interp.Correction, cfg lclock.RepClConfig, o
 
 // ReplayStampContext is ReplayStamp under a context.
 func ReplayStampContext(ctx context.Context, src *Source, corr *interp.Correction, cfg lclock.RepClConfig, opt Options) (ReplayStats, error) {
-	opt = opt.Normalize()
 	var rs ReplayStats
-	rs.Stats.Events = src.Events()
-	if opt.Salvage || src.Salvaged() {
-		rs.Stats.Loss = src.Losses()
-	}
+	acct := begin(src, opt, &rs.Stats)
 	var m timeMapper = identityMapper{}
 	if corr != nil {
 		m = newCorrMapper(corr)
 	}
 	s := &repclSink{st: lclock.NewRepClStamper(src.Ranks(), cfg)}
-	if err := walk(ctx, src, m, s, opt, newAccounting(src.Ranks(), opt, &rs.Stats), rs.Stats.Loss); err != nil {
+	if err := walk(ctx, src, m, s, acct); err != nil {
 		return rs, err
 	}
 	rs.Events = s.st.Events()

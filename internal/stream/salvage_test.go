@@ -85,7 +85,7 @@ func TestSalvageCleanIdentity(t *testing.T) {
 						res, err := (stream.Pipeline{
 							Base:    core.BaseNone,
 							CLC:     true,
-							Options: stream.Options{Window: window, Salvage: v.opt.Salvage, Shards: shards},
+							Options: stream.Options{Window: window, Shards: shards},
 						}).Run(src, &out, nil, nil)
 						if err != nil {
 							t.Fatal(err)
@@ -316,7 +316,7 @@ func TestSpillSalvageInteraction(t *testing.T) {
 	// PolicyError still enforces the window bound under salvage
 	_, err := (stream.Pipeline{
 		Base:    core.BaseNone,
-		Options: stream.Options{Window: 1, Policy: stream.PolicyError, Salvage: true},
+		Options: stream.Options{Window: 1, Policy: stream.PolicyError},
 	}).Run(src, nil, nil, nil)
 	if !errors.Is(err, stream.ErrWindowExceeded) {
 		t.Fatalf("PolicyError under salvage: want ErrWindowExceeded, got %v", err)
@@ -328,7 +328,7 @@ func TestSpillSalvageInteraction(t *testing.T) {
 		Base: core.BaseNone,
 		CLC:  true,
 		Options: stream.Options{
-			Window: 1, Policy: stream.PolicySpill, Salvage: true, SpillFS: fs,
+			Window: 1, Policy: stream.PolicySpill, SpillFS: fs,
 		},
 	}).Run(src, nil, nil, nil)
 	if err != nil {
@@ -354,7 +354,7 @@ func TestSpillSalvageInteraction(t *testing.T) {
 		Base: core.BaseNone,
 		CLC:  true,
 		Options: stream.Options{
-			Window: 1, Policy: stream.PolicySpill, Salvage: true,
+			Window: 1, Policy: stream.PolicySpill,
 			SpillFS: faultinject.NewFS(64),
 		},
 	}).Run(src2, nil, nil, nil)

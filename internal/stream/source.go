@@ -16,13 +16,14 @@ type SourceOptions struct {
 	// next valid block instead of failing, records the damage per rank,
 	// and keeps every event that survived intact. v1 traces carry no
 	// checksums, so for them Salvage changes nothing — corruption still
-	// fails the index pass.
+	// fails the index pass. Every job over the source then tolerates the
+	// happened-before breakage those gaps imply (receives whose send was
+	// lost, collectives missing a participant) and counts it in
+	// Stats.Loss instead of failing; on an intact file none can occur.
 	Salvage bool
 	// MaxSkipBytes bounds the total bytes salvage may discard before the
 	// run fails with trace.ErrSalvageBudget; zero means unlimited.
 	MaxSkipBytes int64
-	// MaxSkipEvents bounds the known-lost event count the same way.
-	MaxSkipEvents int64
 }
 
 // Source is an indexed .etr file: the header and per-process metadata
@@ -92,7 +93,7 @@ func NewSourceContext(ctx context.Context, r io.ReaderAt, o SourceOptions) (*Sou
 // the index it replaced.
 func newSource(ctx context.Context, r io.ReaderAt, o SourceOptions, decodeOnly bool) (*Source, error) {
 	const probe = 1 << 62 // section length; reads stop at EOF
-	pol := trace.ResyncPolicy{Enabled: o.Salvage, MaxSkipBytes: o.MaxSkipBytes, MaxSkipEvents: o.MaxSkipEvents}
+	pol := trace.ResyncPolicy{Enabled: o.Salvage, MaxSkipBytes: o.MaxSkipBytes}
 	er, err := trace.NewEventReaderOpts(io.NewSectionReader(r, 0, probe), pol)
 	if err != nil {
 		return nil, err

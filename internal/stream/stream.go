@@ -118,14 +118,6 @@ type Options struct {
 	// DESIGN.md §12), and the differential suite runs across shard
 	// counts.
 	Shards int
-	// Salvage makes the engine tolerate the happened-before breakage a
-	// salvaged source implies — receives whose send was lost, collective
-	// ends whose begin was lost, sends whose receive never arrives — and
-	// count them in Stats.Loss instead of failing the run. It is implied
-	// whenever the source itself recovered from corruption; setting it on
-	// an intact source changes nothing (the tolerated conditions cannot
-	// occur there).
-	Salvage bool
 	// SpillFS overrides the filesystem used for spill temp files; nil
 	// selects an OS temp directory. Tests inject fault-heavy
 	// implementations here.
@@ -280,6 +272,19 @@ type accounting struct {
 
 func newAccounting(ranks int, opt Options, stats *Stats) *accounting {
 	return &accounting{opt: opt, stats: stats, pending: make([]int, ranks)}
+}
+
+// begin is every job's preamble: it normalizes the options, once, and
+// seeds stats with the source's event count and, for a source opened
+// under salvage, its decode-side losses, to which the walk adds the
+// engine-side counters in place. The accounting it returns carries both
+// (opt, stats) to the walk, which charges the window to it.
+func begin(src *Source, opt Options, stats *Stats) *accounting {
+	stats.Events = src.Events()
+	if src.pol.Enabled {
+		stats.Loss = src.Losses()
+	}
+	return newAccounting(src.Ranks(), opt.Normalize(), stats)
 }
 
 // add charges n pending items (n may be negative) to rank and applies

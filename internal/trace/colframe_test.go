@@ -8,7 +8,9 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"reflect"
 	"testing"
 
 	"tsync/internal/xrand"
@@ -178,14 +180,14 @@ func TestColFrameSingleFlipSalvage(t *testing.T) {
 	}
 }
 
-// TestColPayloadRejects exercises parseColPayload's validation branches
+// TestColPayloadRejects exercises the columnar payload's validation branches
 // on hand-built payloads.
 func TestColPayloadRejects(t *testing.T) {
 	tr := genTrace(1, 4, 7)
 	good := appendColFrame(nil, tr.Procs[0].Events)
 	prefix := []byte{0, 4} // rank 0, count 4 (single-byte uvarints)
 	payload := append(append([]byte(nil), prefix...), good...)
-	if _, err := parseColPayload(payload, nil); err != nil {
+	if _, err := parsePayload(blockColFrame, payload, new([]Event)); err != nil {
 		t.Fatalf("valid payload rejected: %v", err)
 	}
 	cases := []struct {
@@ -200,7 +202,7 @@ func TestColPayloadRejects(t *testing.T) {
 		{"short for count", []byte{0, 200, 1, 2, 3}},
 	}
 	for _, c := range cases {
-		if _, err := parseColPayload(c.p, nil); err == nil {
+		if _, err := parsePayload(blockColFrame, c.p, new([]Event)); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
@@ -314,7 +316,7 @@ func TestColFrameEventOrderPreserved(t *testing.T) {
 		t.Fatalf("kind column = %v, want %v", p[:3], wantKinds)
 	}
 	payload := append([]byte{0, 3}, p...)
-	parsed, err := parseColPayload(payload, nil)
+	parsed, err := parsePayload(blockColFrame, payload, new([]Event))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,5 +324,107 @@ func TestColFrameEventOrderPreserved(t *testing.T) {
 		if !sameEventBits(parsed.decoded[i], evs[i]) {
 			t.Fatalf("event %d differs after decode", i)
 		}
+	}
+}
+
+// TestFrameLayoutsIndistinguishable: a row file and a columnar file of
+// the same events are one thing to a reader's caller. Clean, they deliver
+// the same events; with the same field of the same block damaged (one
+// flipped bit, or the file cut there) both are refused or both salvaged,
+// and the same events survive, through EventReader and through a
+// FrameDecoder over one rank's section, strict and resync.
+func TestFrameLayoutsIndistinguishable(t *testing.T) {
+	tr := genTrace(3, 120, 23)
+	files := [2][]byte{v2Bytes(t, tr, 8), v2ColBytes(t, tr, 8)}
+	var offs [2][]int
+	var procs []int // indices of the proc blocks, the same in both files
+	for l, data := range files {
+		var typs []byte
+		offs[l], typs = findBlocks(t, data)
+		procs = procs[:0]
+		for i, typ := range typs {
+			if typ == blockProc {
+				procs = append(procs, i)
+			}
+		}
+	}
+	if len(offs[0]) != len(offs[1]) || len(procs) != 3 {
+		t.Fatalf("fixture: %d and %d blocks, %d proc blocks", len(offs[0]), len(offs[1]), len(procs))
+	}
+	// at maps "field k of block b" onto a byte of layout l's file: the
+	// marker (k 0-3), the type, the first length byte, the checksum
+	// (6-9), or, past those, the byte frac of the way into the payload
+	at := func(l, b, k int, frac float64) int {
+		off := offs[l][b]
+		_, plen, hlen, _, err := parseBlockHead(files[l][off:min(off+blockHeadMax, len(files[l]))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case k <= markerLen+1:
+			return off + k
+		case k <= markerLen+5:
+			return off + hlen - 4 + k - (markerLen + 2)
+		}
+		return off + hlen + int(frac*float64(plen))
+	}
+	type outcome struct {
+		events    map[int][]Event // EventReader, by rank
+		failed    bool
+		incidents int
+		lost      int64
+		unknown   bool
+		section   []Event // FrameDecoder over rank 1's section
+		secFailed bool
+	}
+	read := func(l int, data []byte, pol ResyncPolicy) outcome {
+		var o outcome
+		var rep *CorruptionReport
+		var err error
+		o.events, rep, err = readAllOpts(t, data, pol)
+		o.failed = err != nil
+		if rep != nil {
+			o.incidents, o.lost, o.unknown = len(rep.Incidents), rep.LostEvents, rep.UnknownLoss
+		}
+		start, end := offs[l][procs[1]+1], min(offs[l][procs[2]], len(data))
+		if start > end {
+			return o
+		}
+		d := NewFrameDecoder(bytes.NewReader(data[start:end]), int64(start), 1, pol)
+		batch := make([]Event, 7)
+		for err = nil; err == nil; {
+			var n int
+			n, err = d.DecodeBatch(batch)
+			o.section = append(o.section, batch[:n]...)
+		}
+		o.secFailed = err != io.EOF
+		return o
+	}
+	same := func(what string, mut [2][]byte) {
+		t.Helper()
+		for _, pol := range []ResyncPolicy{{}, {Enabled: true}} {
+			if row, col := read(0, mut[0], pol), read(1, mut[1], pol); !reflect.DeepEqual(row, col) {
+				t.Errorf("%s, resync %v: the layouts read differently\nrow      failed=%v/%v incidents=%d lost=%d unknown=%v\ncolumnar failed=%v/%v incidents=%d lost=%d unknown=%v",
+					what, pol.Enabled, row.failed, row.secFailed, row.incidents, row.lost, row.unknown,
+					col.failed, col.secFailed, col.incidents, col.lost, col.unknown)
+			}
+		}
+	}
+	same("clean", files)
+	if clean := read(0, files[0], ResyncPolicy{}); clean.failed || clean.secFailed || !reflect.DeepEqual(clean.section, tr.Procs[1].Events) {
+		t.Fatal("the clean row file does not read back")
+	}
+	rng := xrand.NewSource(99)
+	for trial := 0; trial < 80; trial++ {
+		b, k, frac, bit := rng.Intn(len(offs[0])), rng.Intn(2*(markerLen+6)), rng.Uniform(0, 1), byte(1<<rng.Intn(8))
+		var flipped, cut [2][]byte
+		for l, data := range files {
+			i := at(l, b, k, frac)
+			flipped[l] = append([]byte(nil), data...)
+			flipped[l][i] ^= bit
+			cut[l] = data[:i]
+		}
+		same(fmt.Sprintf("trial %d: block %d field %d bit %#x flipped", trial, b, k, bit), flipped)
+		same(fmt.Sprintf("trial %d: cut at block %d field %d", trial, b, k), cut)
 	}
 }

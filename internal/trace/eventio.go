@@ -96,10 +96,7 @@ type EventReader struct {
 	pol          ResyncPolicy
 	blk          blockReader
 	rep          CorruptionReport
-	frameEvents  []byte  // undecoded remainder of the current frame
-	frameLeft    int     // events the current row frame's count still promises
-	frameDecoded []Event // undelivered remainder of the current columnar frame
-	framePos     int
+	frame        drain  // the current frame's undelivered events
 	pending      parsed // block that ended the current section, not yet consumed
 	pendingStart int64
 	hasPending   bool
@@ -193,14 +190,14 @@ func NewEventReaderOpts(r io.Reader, pol ResyncPolicy) (*EventReader, error) {
 // current or a later rank (an earlier rank's frame after this point is a
 // stale duplicate — misleading if trusted). Blocks that fail it are
 // corruption, handled by the caller's policy like any other.
-func (er *EventReader) acceptBlock(p *parsed) bool {
-	if p.rank >= er.header.ProcCount {
+func (er *EventReader) acceptBlock(typ byte, rank int) bool {
+	if rank >= er.header.ProcCount {
 		return false
 	}
-	if p.typ == blockFrame || p.typ == blockColFrame {
-		return p.rank >= er.curRank
+	if typ == blockProc {
+		return rank > er.curRank
 	}
-	return p.rank > er.curRank
+	return rank >= er.curRank
 }
 
 // Header returns the file header. The Regions slice is shared, not
@@ -359,8 +356,7 @@ func (er *EventReader) nextProcV2() (ProcHeader, error) {
 		er.remaining = ph.EventCount
 		er.inProc = true
 		er.gap = false
-		er.frameEvents = nil
-		er.frameDecoded, er.framePos = nil, 0
+		er.frame = drain{}
 		er.sectionStart = er.Offset()
 		return ph, nil
 	}
@@ -374,13 +370,7 @@ func (er *EventReader) nextProcV2() (ProcHeader, error) {
 	er.remaining = -1
 	er.inProc = true
 	er.gap = true
-	if p.typ == blockColFrame {
-		er.frameEvents = nil
-		er.frameDecoded, er.framePos = p.decoded, 0
-	} else {
-		er.frameEvents, er.frameLeft = p.events, p.count
-		er.frameDecoded, er.framePos = nil, 0
-	}
+	er.frame = drain{evs: p.decoded}
 	er.sectionStart = pstart
 	return ph, nil
 }
@@ -413,33 +403,7 @@ func (er *EventReader) Read(ev *Event) error {
 // (stashed for NextProc), or at end of stream.
 func (er *EventReader) readV2(ev *Event) error {
 	for {
-		if er.framePos < len(er.frameDecoded) {
-			*ev = er.frameDecoded[er.framePos]
-			er.framePos++
-			if er.framePos == len(er.frameDecoded) {
-				// Drained: the scratch behind the slice is recycled by the
-				// next block read, so drop the alias now.
-				er.frameDecoded, er.framePos = nil, 0
-			}
-			if er.remaining > 0 {
-				er.remaining--
-			}
-			return nil
-		}
-		if len(er.frameEvents) > 0 {
-			n, ok := decodeEvent(er.frameEvents, ev)
-			if !ok {
-				// A CRC-valid frame with undecodable events: strict mode
-				// only — resync deep-validates before accepting a block.
-				er.frameEvents = nil
-				return er.bad("frame events", errors.New("malformed event"))
-			}
-			er.frameEvents = er.frameEvents[n:]
-			er.frameLeft--
-			if !rowFrameInStep(er.frameLeft, er.frameEvents) {
-				er.frameEvents = nil
-				return er.bad("frame events", errFrameCount)
-			}
+		if er.frame.next(ev) {
 			if er.remaining > 0 {
 				er.remaining--
 			}
@@ -455,9 +419,7 @@ func (er *EventReader) readV2(ev *Event) error {
 				if !er.pol.Enabled {
 					return er.bad("events", io.ErrUnexpectedEOF)
 				}
-				if lerr := er.rep.lost(int64(er.remaining), er.pol); lerr != nil {
-					return lerr
-				}
+				er.rep.LostEvents += int64(er.remaining)
 				if len(er.rep.Incidents) == nInc {
 					er.rep.note(er.Offset(), er.curRank, 0, "declared events missing at end of stream")
 				}
@@ -472,10 +434,10 @@ func (er *EventReader) readV2(ev *Event) error {
 		if len(er.rep.Incidents) > nInc {
 			er.gap = true
 		}
-		if (p.typ == blockFrame || p.typ == blockColFrame) && p.rank == er.curRank {
-			if er.remaining > 0 && p.count > er.remaining {
+		if p.typ != blockProc && p.rank == er.curRank {
+			if er.remaining > 0 && len(p.decoded) > er.remaining {
 				if !er.pol.Enabled {
-					return er.bad("frame", fmt.Errorf("frame of %d events exceeds the %d still declared", p.count, er.remaining))
+					return er.bad("frame", fmt.Errorf("frame of %d events exceeds the %d still declared", len(p.decoded), er.remaining))
 				}
 				// The declared count and the frames disagree; the frames
 				// are checksummed, the count may not be. Keep the events,
@@ -483,11 +445,7 @@ func (er *EventReader) readV2(ev *Event) error {
 				er.rep.UnknownLoss = true
 				er.remaining = -1
 			}
-			if p.typ == blockColFrame {
-				er.frameDecoded, er.framePos = p.decoded, 0
-			} else {
-				er.frameEvents, er.frameLeft = p.events, p.count
-			}
+			er.frame = drain{evs: p.decoded}
 			continue
 		}
 		// A block of a later process: the current section ends here.
@@ -495,9 +453,7 @@ func (er *EventReader) readV2(ev *Event) error {
 			if !er.pol.Enabled {
 				return er.bad("events", fmt.Errorf("process ended with %d declared events missing", er.remaining))
 			}
-			if lerr := er.rep.lost(int64(er.remaining), er.pol); lerr != nil {
-				return lerr
-			}
+			er.rep.LostEvents += int64(er.remaining)
 			if len(er.rep.Incidents) == nInc {
 				er.rep.note(pstart, er.curRank, 0, "declared events missing before next block")
 			}

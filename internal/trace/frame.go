@@ -24,8 +24,8 @@ package trace
 //
 // Resync mode (ResyncPolicy.Enabled) turns decode failures into
 // CorruptionReport incidents instead of errors: the reader skips forward
-// to the next fully-valid block, counting skipped bytes and lost events
-// against the policy's budgets. Salvage favors precision over recall —
+// to the next fully-valid block, counting skipped bytes against the
+// policy's budget. Salvage favors precision over recall —
 // a block is accepted only when everything about it validates, so
 // resync can drop events but never fabricate them. The file header
 // itself is the trust root: corruption before the first block is not
@@ -112,19 +112,18 @@ var frameMarker = [markerLen]byte{0xF4, 'T', 'R', 'F'}
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrSalvageBudget reports that resync skipped more bytes or lost more
-// events than the policy allows.
+// ErrSalvageBudget reports that resync skipped more bytes than the policy
+// allows.
 var ErrSalvageBudget = errors.New("trace: salvage skip budget exceeded")
 
 // ResyncPolicy controls corruption recovery for v2 streams. The zero
 // value is strict: any corruption is ErrBadFormat. With Enabled set the
-// reader skips to the next valid block instead, within the skip budgets
-// (zero budgets mean unlimited). v1 streams have no redundancy to
-// resynchronize on; the policy does not affect them.
+// reader skips to the next valid block instead, within the byte budget
+// (zero means unlimited). v1 streams have no redundancy to resynchronize
+// on; the policy does not affect them.
 type ResyncPolicy struct {
-	Enabled       bool
-	MaxSkipBytes  int64
-	MaxSkipEvents int64
+	Enabled      bool
+	MaxSkipBytes int64
 }
 
 // Incident is one corruption recovery: where the reader lost sync, how
@@ -173,15 +172,6 @@ func (r *CorruptionReport) note(off int64, rank int, skipped int64, reason strin
 	r.SkippedBytes += skipped
 }
 
-// lost adds n known-lost events and enforces the event budget.
-func (r *CorruptionReport) lost(n int64, pol ResyncPolicy) error {
-	r.LostEvents += n
-	if pol.MaxSkipEvents > 0 && r.LostEvents > pol.MaxSkipEvents {
-		return fmt.Errorf("%w: lost %d events (limit %d)", ErrSalvageBudget, r.LostEvents, pol.MaxSkipEvents)
-	}
-	return nil
-}
-
 // WriterOptions selects the codec version and frame geometry for
 // NewEventWriterOpts. The zero value writes v1, bit-identical to
 // NewEventWriter.
@@ -214,22 +204,18 @@ func (o WriterOptions) normalize() (WriterOptions, error) {
 	return o, nil
 }
 
-// parsed is the payload-level view of one validated block.
+// parsed is the payload-level view of one validated block: a process
+// header, or a batch of one rank's events. Nothing past parsePayload
+// knows which layout a frame's bytes had.
 type parsed struct {
-	typ byte
+	typ  byte
+	rank int
 
-	// frame fields
-	rank   int
-	count  int
-	events []byte // the encoded events; aliases the reader's payload buffer
-	evOff  int    // offset of events within the payload, for re-slicing after a copy
-
-	// columnar frame fields: the fully decoded events (columnar frames
-	// cannot be decoded incrementally, so the whole batch materializes
-	// at parse time into reader-owned scratch)
+	// frame: the decoded events, in the reader-owned scratch parsePayload
+	// was given; they must drain before the next block is parsed
 	decoded []Event
 
-	// proc fields
+	// proc block
 	ph ProcHeader
 }
 
@@ -261,44 +247,51 @@ func parseBlockHead(head []byte) (typ byte, plen, hlen int, crc uint32, err erro
 	return typ, int(v), hlen, crc, nil
 }
 
-// parsePayload validates a block payload whose checksum already matched.
-// With deep set it also decodes every event of a frame — required before
-// a resync candidate may be trusted; strict readers leave event decoding
-// to the consumer and let the checksum vouch for the bytes. Columnar
-// frames decode fully regardless of deep (their events cannot be peeled
-// off incrementally) into colBuf, which the caller owns and recycles;
-// the decoded slice is returned via parsed.decoded.
-func parsePayload(typ byte, p []byte, deep bool, colBuf []Event) (parsed, error) {
+// parsePayload validates a block payload whose checksum already matched
+// and decodes it whole. The checksum vouches for the bytes, not for a
+// frame's count telling the truth about them, and the count is what a
+// HeadScanner index is built from: a frame whose events and count part
+// ways is refused here, before any of its events is delivered. Events
+// decode into *scratch, grown as needed, which the caller owns and
+// recycles block after block.
+func parsePayload(typ byte, p []byte, scratch *[]Event) (parsed, error) {
 	if typ == blockProc {
 		ph, err := parseProcPayload(p)
 		return parsed{typ: typ, rank: ph.Rank, ph: ph}, err
 	}
-	if typ == blockColFrame {
-		return parseColPayload(p, colBuf)
-	}
-	rank, count, evOff, err := parseFramePrefix(typ, p)
+	rank, count, n, err := parseFramePrefix(typ, p)
 	if err != nil {
 		return parsed{}, err
 	}
-	events := p[evOff:]
-	if count*eventMinSize > len(events) {
-		return parsed{}, errors.New("frame too short for its event count") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
+	if cap(*scratch) < count {
+		*scratch = make([]Event, count)
 	}
-	if deep {
-		var ev Event
-		rest := events
-		for i := 0; i < count; i++ {
-			k, ok := decodeEvent(rest, &ev)
-			if !ok {
-				return parsed{}, errors.New("malformed event in frame") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
-			}
-			rest = rest[k:]
-		}
-		if len(rest) != 0 {
-			return parsed{}, errors.New("trailing bytes after frame events") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
-		}
+	evs := (*scratch)[:count]
+	if typ == blockColFrame {
+		err = decodeColFrame(p[n:], evs)
+	} else {
+		err = decodeRowFrame(p[n:], evs)
 	}
-	return parsed{typ: typ, rank: rank, count: count, events: events, evOff: evOff}, nil
+	return parsed{typ: typ, rank: rank, decoded: evs}, err
+}
+
+// decodeRowFrame decodes a row frame's body, which must hold exactly
+// len(evs) canonical event encodings.
+func decodeRowFrame(body []byte, evs []Event) error {
+	if len(evs)*eventMinSize > len(body) {
+		return errors.New("frame too short for its event count") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
+	}
+	for i := range evs {
+		k, ok := decodeEvent(body, &evs[i])
+		if !ok {
+			return errors.New("malformed event in frame") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
+		}
+		body = body[k:]
+	}
+	if len(body) != 0 {
+		return errors.New("trailing bytes after frame events") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
+	}
+	return nil
 }
 
 // parseFramePrefix decodes the rank and event count that open both frame
@@ -428,28 +421,20 @@ func colField(ev *Event, col int) *int32 {
 	}
 }
 
-// parseColPayload validates and fully decodes a columnar frame payload
-// into colBuf (grown as needed, reused across blocks by the caller).
-func parseColPayload(p []byte, colBuf []Event) (parsed, error) {
-	rank, c, n, err := parseFramePrefix(blockColFrame, p)
-	if err != nil {
-		return parsed{}, err
-	}
-	body := p[n:]
+// decodeColFrame decodes a columnar frame's body, which must hold exactly
+// len(evs) events' columns.
+func decodeColFrame(body []byte, evs []Event) error {
+	c := len(evs)
 	if c*colEventMinSize+colFixedSize > len(body) {
-		return parsed{}, errors.New("frame too short for its event count") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
+		return errors.New("frame too short for its event count") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
 	}
-	if cap(colBuf) < c {
-		colBuf = make([]Event, c)
-	}
-	evs := colBuf[:c]
 	for i := range evs {
 		evs[i] = Event{Kind: Kind(body[i]), Op: CollOp(body[c+i])}
 	}
 	body = body[2*c:]
 	for col := 0; col < 2; col++ {
 		if len(body) < 8 {
-			return parsed{}, errors.New("truncated timestamp column") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
+			return errors.New("truncated timestamp column") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
 		}
 		bits := binary.LittleEndian.Uint64(body)
 		body = body[8:]
@@ -461,7 +446,7 @@ func parseColPayload(p []byte, colBuf []Event) (parsed, error) {
 		for i := 1; i < c; i++ {
 			d, k := binary.Varint(body)
 			if k <= 0 {
-				return parsed{}, errors.New("bad timestamp delta") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
+				return errors.New("bad timestamp delta") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
 			}
 			body = body[k:]
 			bits += uint64(d)
@@ -483,16 +468,16 @@ func parseColPayload(p []byte, colBuf []Event) (parsed, error) {
 			}
 			v, k := binary.Varint(body)
 			if k <= 0 || v > math.MaxInt32 || v < math.MinInt32 {
-				return parsed{}, errors.New("bad field column varint") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
+				return errors.New("bad field column varint") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
 			}
 			body = body[k:]
 			*colField(&evs[i], col) = int32(v)
 		}
 	}
 	if len(body) != 0 {
-		return parsed{}, errors.New("trailing bytes after columnar frame") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
+		return errors.New("trailing bytes after columnar frame") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
 	}
-	return parsed{typ: blockColFrame, rank: rank, count: c, decoded: evs}, nil
+	return nil
 }
 
 // blockReader reads v2 blocks from a buffered stream, optionally
@@ -504,14 +489,14 @@ func parseColPayload(p []byte, colBuf []Event) (parsed, error) {
 // on what was salvaged.
 type blockReader struct {
 	br     *bufio.Reader
-	pos    func() int64       // stream position of the next unconsumed byte
-	rank   func() int         // rank to attribute incidents to
-	accept func(*parsed) bool // semantic validity beyond the payload itself
+	pos    func() int64                  // stream position of the next unconsumed byte
+	rank   func() int                    // rank to attribute incidents to
+	accept func(typ byte, rank int) bool // semantic validity beyond the payload itself
 	pol    ResyncPolicy
 	rep    *CorruptionReport
 
-	payload []byte  // owned storage of the current block's payload
-	colBuf  []Event // scratch for columnar frame decodes, recycled per block
+	payload []byte  // strict reads: storage for the block being checked
+	scratch []Event // the current frame's decoded events, recycled per block
 }
 
 func (b *blockReader) budgetBytes() error {
@@ -521,20 +506,30 @@ func (b *blockReader) budgetBytes() error {
 	return nil
 }
 
-// take copies the current block's payload (known to be buffered) into
-// owned storage and consumes the whole block.
-func (b *blockReader) take(hlen, plen int) ([]byte, error) {
-	full, err := b.br.Peek(hlen + plen)
+// check is the one place a block earns trust: its payload must match the
+// checksum, decode completely and consistently, and pass the caller's
+// accept rule. Strict reads, resync reads and the scan's candidates all
+// come through here, so no reader can fabricate an event another would
+// have refused. The error is the bare reason; the caller adds the block's
+// position, on the failure path only.
+func (b *blockReader) check(typ byte, payload []byte, crc uint32) (parsed, error) {
+	if crc32.Checksum(payload, castagnoli) != crc {
+		return parsed{}, errors.New("checksum mismatch") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
+	}
+	p, err := parsePayload(typ, payload, &b.scratch)
 	if err != nil {
-		return nil, err
+		return parsed{}, err
 	}
-	if cap(b.payload) < plen {
-		b.payload = make([]byte, plen)
+	if !b.accept(p.typ, p.rank) {
+		return parsed{}, errors.New("block out of rank order") //tsync:rawerr — reason for the caller, which classifies and adds the byte offset (see readBlock/scan)
 	}
-	b.payload = b.payload[:plen]
-	copy(b.payload, full[hlen:])
-	_, err = b.br.Discard(hlen + plen)
-	return b.payload, err
+	return p, nil
+}
+
+// blockErr is a block's failure: the reason, classified, at the block's
+// start byte.
+func blockErr(start int64, reason error) error {
+	return badFormat(fmt.Sprintf("block at byte %d", start), reason)
 }
 
 // nextBlock returns the next accepted block and its start offset, io.EOF
@@ -553,7 +548,8 @@ func (b *blockReader) nextBlock() (parsed, int64, error) {
 // readBlock attempts a block at the current position. The resync path
 // consumes nothing unless the whole block validates, so a failure leaves
 // every byte in place for the scan; the strict path reads the payload
-// directly (the buffer may be smaller than a block) and fails hard.
+// into its own storage (the buffer may be smaller than a block) and
+// fails hard.
 func (b *blockReader) readBlock(start int64) (parsed, error) {
 	head, herr := b.br.Peek(blockHeadMax)
 	if len(head) == 0 {
@@ -564,57 +560,33 @@ func (b *blockReader) readBlock(start int64) (parsed, error) {
 	}
 	typ, plen, hlen, crc, err := parseBlockHead(head)
 	if err != nil {
-		return parsed{}, badFormat(fmt.Sprintf("block at byte %d", start), err)
+		return parsed{}, blockErr(start, err)
 	}
-	if !b.pol.Enabled {
-		if _, err := b.br.Discard(hlen); err != nil {
-			return parsed{}, badFormat(fmt.Sprintf("block at byte %d", start), err)
+	if b.pol.Enabled {
+		full, _ := b.br.Peek(hlen + plen)
+		if len(full) < hlen+plen {
+			return parsed{}, blockErr(start, errors.New("truncated block"))
 		}
-		if cap(b.payload) < plen {
-			b.payload = make([]byte, plen)
+		p, err := b.check(typ, full[hlen:], crc)
+		if err != nil {
+			return parsed{}, blockErr(start, err)
 		}
-		b.payload = b.payload[:plen]
-		if _, err := io.ReadFull(b.br, b.payload); err != nil {
-			return parsed{}, badFormat(fmt.Sprintf("block payload at byte %d", start), err)
-		}
-		if crc32.Checksum(b.payload, castagnoli) != crc {
-			return parsed{}, badFormat(fmt.Sprintf("block at byte %d", start), errors.New("checksum mismatch"))
-		}
-		p, perr := parsePayload(typ, b.payload, false, b.colBuf)
-		if p.decoded != nil {
-			b.colBuf = p.decoded
-		}
-		if perr != nil {
-			return parsed{}, badFormat(fmt.Sprintf("block at byte %d", start), perr)
-		}
-		if b.accept != nil && !b.accept(&p) {
-			return parsed{}, badFormat(fmt.Sprintf("block at byte %d", start), errors.New("block out of rank order"))
-		}
-		return p, nil
+		_, err = b.br.Discard(hlen + plen)
+		return p, err
 	}
-	full, _ := b.br.Peek(hlen + plen)
-	if len(full) < hlen+plen {
-		return parsed{}, badFormat(fmt.Sprintf("block at byte %d", start), errors.New("truncated block"))
+	if _, err := b.br.Discard(hlen); err != nil {
+		return parsed{}, blockErr(start, err)
 	}
-	if crc32.Checksum(full[hlen:], castagnoli) != crc {
-		return parsed{}, badFormat(fmt.Sprintf("block at byte %d", start), errors.New("checksum mismatch"))
+	if cap(b.payload) < plen {
+		b.payload = make([]byte, plen)
 	}
-	p, perr := parsePayload(typ, full[hlen:], true, b.colBuf)
-	if p.decoded != nil {
-		b.colBuf = p.decoded
+	b.payload = b.payload[:plen]
+	if _, err := io.ReadFull(b.br, b.payload); err != nil {
+		return parsed{}, badFormat(fmt.Sprintf("block payload at byte %d", start), err)
 	}
-	if perr != nil {
-		return parsed{}, badFormat(fmt.Sprintf("block at byte %d", start), perr)
-	}
-	if b.accept != nil && !b.accept(&p) {
-		return parsed{}, badFormat(fmt.Sprintf("block at byte %d", start), errors.New("block out of rank order"))
-	}
-	payload, err := b.take(hlen, plen)
+	p, err := b.check(typ, b.payload, crc)
 	if err != nil {
-		return parsed{}, err
-	}
-	if p.typ == blockFrame {
-		p.events = payload[p.evOff:]
+		return parsed{}, blockErr(start, err)
 	}
 	return p, nil
 }
@@ -646,7 +618,7 @@ func (b *blockReader) scan(start int64, cause error) (parsed, int64, error) {
 				break
 			}
 			i := from + rel
-			p, hlen, plen, ok := b.validateCandidate(win[i:])
+			p, size, ok := b.candidate(win[i:])
 			if !ok {
 				from = i + 1
 				continue
@@ -660,14 +632,8 @@ func (b *blockReader) scan(start int64, cause error) (parsed, int64, error) {
 				return parsed{}, start, err
 			}
 			blockStart := b.pos()
-			payload, err := b.take(hlen, plen)
-			if err != nil {
-				return parsed{}, start, err
-			}
-			if p.typ == blockFrame {
-				p.events = payload[p.evOff:]
-			}
-			return p, blockStart, nil
+			_, err := b.br.Discard(size)
+			return p, blockStart, err
 		}
 		if !full {
 			// End of stream with nothing salvageable left.
@@ -692,32 +658,42 @@ func (b *blockReader) scan(start int64, cause error) (parsed, int64, error) {
 	}
 }
 
-// validateCandidate fully validates a candidate block at the front of
-// buf without consuming anything. ok requires the entire block to lie
-// within buf.
-func (b *blockReader) validateCandidate(buf []byte) (parsed, int, int, bool) {
-	head := buf
-	if len(head) > blockHeadMax {
-		head = head[:blockHeadMax]
-	}
-	typ, plen, hlen, crc, err := parseBlockHead(head)
+// candidate checks the block that would start at the front of buf,
+// consuming nothing, and reports its size. ok requires the entire block
+// to lie within buf.
+func (b *blockReader) candidate(buf []byte) (p parsed, size int, ok bool) {
+	typ, plen, hlen, crc, err := parseBlockHead(buf[:min(len(buf), blockHeadMax)])
 	if err != nil || hlen+plen > len(buf) {
-		return parsed{}, 0, 0, false
+		return parsed{}, 0, false
 	}
-	if crc32.Checksum(buf[hlen:hlen+plen], castagnoli) != crc {
-		return parsed{}, 0, 0, false
+	p, err = b.check(typ, buf[hlen:hlen+plen], crc)
+	return p, hlen + plen, err == nil
+}
+
+// drain hands out a frame's decoded events. They live in the
+// blockReader's scratch, so a drain must empty before the next block is
+// read.
+type drain struct {
+	evs []Event
+	pos int
+}
+
+// next pops the frame's next event into ev; false means the frame is
+// spent.
+func (d *drain) next(ev *Event) bool {
+	if d.pos == len(d.evs) {
+		return false
 	}
-	p, perr := parsePayload(typ, buf[hlen:hlen+plen], true, b.colBuf)
-	if p.decoded != nil {
-		b.colBuf = p.decoded
-	}
-	if perr != nil {
-		return parsed{}, 0, 0, false
-	}
-	if b.accept != nil && !b.accept(&p) {
-		return parsed{}, 0, 0, false
-	}
-	return p, hlen, plen, true
+	*ev = d.evs[d.pos]
+	d.pos++
+	return true
+}
+
+// take pops as many of the frame's events as dst holds.
+func (d *drain) take(dst []Event) int {
+	n := copy(dst, d.evs[d.pos:])
+	d.pos += n
+	return n
 }
 
 // headScanLen is what HeadScanner reads of a block: the longest block
@@ -771,7 +747,7 @@ func (s *HeadScanner) Next() (ScannedBlock, error) {
 	}
 	typ, plen, hlen, crc, err := parseBlockHead(s.buf[:min(n, blockHeadMax)])
 	if err != nil {
-		return ScannedBlock{}, badFormat(fmt.Sprintf("block at byte %d", start), err)
+		return ScannedBlock{}, blockErr(start, err)
 	}
 	b := ScannedBlock{Start: start, End: start + int64(hlen+plen), Frame: typ != blockProc}
 	if b.Frame {
@@ -785,12 +761,12 @@ func (s *HeadScanner) Next() (ScannedBlock, error) {
 			return ScannedBlock{}, badFormat(fmt.Sprintf("block payload at byte %d", start), rerr)
 		}
 		if crc32.Checksum(p, castagnoli) != crc {
-			return ScannedBlock{}, badFormat(fmt.Sprintf("block at byte %d", start), errors.New("checksum mismatch"))
+			return ScannedBlock{}, blockErr(start, errors.New("checksum mismatch"))
 		}
 		b.Proc, err = parseProcPayload(p)
 	}
 	if err != nil {
-		return ScannedBlock{}, badFormat(fmt.Sprintf("block at byte %d", start), err)
+		return ScannedBlock{}, blockErr(start, err)
 	}
 	s.off = b.End
 	return b, nil
@@ -937,25 +913,17 @@ func (fw *frameWriter) beginProc(ph ProcHeader) error {
 // index pass accepted inside the section, so both passes skip the same
 // bytes and deliver the same events.
 type FrameDecoder struct {
-	cr     countingReader
-	blk    blockReader
-	rank   int
-	rep    CorruptionReport
-	events []byte // undecoded remainder of the current frame (row frames)
-	left   int    // events the current row frame's count still promises
-
-	// decoded/dpos serve columnar frames, whose events materialize at
-	// block-parse time into the blockReader's scratch; they must drain
-	// before the next block is read (the scratch is then recycled).
-	decoded []Event
-	dpos    int
+	cr  countingReader
+	blk blockReader
+	rep CorruptionReport
+	cur drain // the current frame's undelivered events
 }
 
 // NewFrameDecoder returns a decoder over r for the given rank's section.
 // base is the stream offset of r's first byte, so that errors and
 // incidents name positions in the file and not in the section.
 func NewFrameDecoder(r io.Reader, base int64, rank int, pol ResyncPolicy) *FrameDecoder {
-	d := &FrameDecoder{rank: rank}
+	d := &FrameDecoder{}
 	d.cr = countingReader{r: r, n: base}
 	size := decoderBufSize
 	if pol.Enabled {
@@ -963,14 +931,12 @@ func NewFrameDecoder(r io.Reader, base int64, rank int, pol ResyncPolicy) *Frame
 	}
 	br := bufio.NewReaderSize(&d.cr, size)
 	d.blk = blockReader{
-		br:   br,
-		pos:  func() int64 { return d.cr.n - int64(br.Buffered()) },
-		rank: func() int { return rank },
-		accept: func(p *parsed) bool {
-			return (p.typ == blockFrame || p.typ == blockColFrame) && p.rank == rank
-		},
-		pol: pol,
-		rep: &d.rep,
+		br:     br,
+		pos:    func() int64 { return d.cr.n - int64(br.Buffered()) },
+		rank:   func() int { return rank },
+		accept: func(typ byte, of int) bool { return typ != blockProc && of == rank },
+		pol:    pol,
+		rep:    &d.rep,
 	}
 	return d
 }
@@ -979,83 +945,35 @@ func NewFrameDecoder(r io.Reader, base int64, rank int, pol ResyncPolicy) *Frame
 // valid and updates as decoding proceeds.
 func (d *FrameDecoder) Report() *CorruptionReport { return &d.rep }
 
+// refill reads the section's next frame into the (spent) drain.
+func (d *FrameDecoder) refill() error {
+	p, _, err := d.blk.nextBlock()
+	d.cur = drain{evs: p.decoded}
+	return err
+}
+
 // Decode reads the next event into ev.
 func (d *FrameDecoder) Decode(ev *Event) error {
-	if d.dpos < len(d.decoded) {
-		*ev = d.decoded[d.dpos]
-		d.dpos++
-		return nil
-	}
-	d.decoded, d.dpos = nil, 0
-	for len(d.events) == 0 {
-		p, _, err := d.blk.nextBlock()
-		if err != nil {
+	for !d.cur.next(ev) {
+		if err := d.refill(); err != nil {
 			return err
 		}
-		if p.typ == blockColFrame {
-			*ev = p.decoded[0]
-			d.decoded, d.dpos = p.decoded, 1
-			return nil
-		}
-		d.events, d.left = p.events, p.count
-	}
-	n, ok := decodeEvent(d.events, ev)
-	if !ok {
-		return d.badFrame(errors.New("malformed event"))
-	}
-	d.events = d.events[n:]
-	d.left--
-	if !rowFrameInStep(d.left, d.events) {
-		return d.badFrame(errFrameCount)
 	}
 	return nil
 }
 
-// badFrame fails the current row frame. Unreachable in resync mode:
-// accepted blocks are deep-validated.
-func (d *FrameDecoder) badFrame(reason error) error {
-	d.events = nil
-	return badFormat(fmt.Sprintf("frame events (at byte %d, rank %d)", d.blk.pos(), d.rank), reason)
-}
-
-// errFrameCount is the reason a row frame fails rowFrameInStep.
-var errFrameCount = errors.New("frame's events disagree with its count")
-
-// rowFrameInStep reports whether a row frame's bytes and its declared
-// count still agree after an event: they must run out together. A strict
-// reader checks it as it decodes (the checksum vouches for the bytes, not
-// for the count telling the truth about them), because the count is what
-// a HeadScanner index is built from.
-func rowFrameInStep(left int, rest []byte) bool { return (left == 0) == (len(rest) == 0) }
-
 // DecodeBatch decodes up to len(evs) events, returning how many were
-// filled; a clean section end surfaces as (n, io.EOF). Columnar frames
-// copy in bulk; row frames decode in a tight loop over the validated
-// frame bytes.
+// filled; a clean section end surfaces as (n, io.EOF).
 func (d *FrameDecoder) DecodeBatch(evs []Event) (int, error) {
 	i := 0
 	for i < len(evs) {
-		if d.dpos < len(d.decoded) {
-			n := copy(evs[i:], d.decoded[d.dpos:])
-			d.dpos += n
+		if n := d.cur.take(evs[i:]); n > 0 {
 			i += n
 			continue
 		}
-		if len(d.events) > 0 {
-			if n, ok := decodeEvent(d.events, &evs[i]); ok {
-				d.events = d.events[n:]
-				d.left--
-				if !rowFrameInStep(d.left, d.events) {
-					return i, d.badFrame(errFrameCount)
-				}
-				i++
-				continue
-			}
-		}
-		if err := d.Decode(&evs[i]); err != nil {
+		if err := d.refill(); err != nil {
 			return i, err
 		}
-		i++
 	}
-	return len(evs), nil
+	return i, nil
 }

@@ -156,9 +156,9 @@ func zeroFrameCount(t *testing.T, data []byte, off int) []byte {
 }
 
 // TestRowFrameCountMustHold: a row frame whose checksum is good but whose
-// count disagrees with the events it holds is refused by both strict
-// readers at the event where the two part ways. The count is what a
-// head-scanned index is built from, so it may not lie.
+// count disagrees with the events it holds is refused whole, at its
+// block, by every strict reader: not one of its events is delivered. The
+// count is what a head-scanned index is built from, so it may not lie.
 func TestRowFrameCountMustHold(t *testing.T) {
 	tr := genTrace(1, 40, 47)
 	evs := tr.Procs[0].Events
@@ -166,7 +166,13 @@ func TestRowFrameCountMustHold(t *testing.T) {
 	for i := range evs {
 		events = appendEvent(events, &evs[i])
 	}
-	for name, declared := range map[string]int{"count too low": len(evs) - 2, "count too high": len(evs) + 1} {
+	for name, tc := range map[string]struct {
+		declared int
+		reason   string
+	}{
+		"count too low":  {len(evs) - 2, "trailing bytes after frame events"},
+		"count too high": {len(evs) + 1, "malformed event in frame"},
+	} {
 		// a whole file: the header, a proc block declaring the events
 		// the frame really holds, and the frame with the lying count
 		var file bytes.Buffer
@@ -178,7 +184,7 @@ func TestRowFrameCountMustHold(t *testing.T) {
 			t.Fatal(err)
 		}
 		section := ew.Offset()
-		head := binary.AppendUvarint(binary.AppendUvarint(nil, 0), uint64(declared))
+		head := binary.AppendUvarint(binary.AppendUvarint(nil, 0), uint64(tc.declared))
 		if err := ew.fw.writeBlock(blockFrame, head, events); err != nil {
 			t.Fatal(err)
 		}
@@ -186,24 +192,20 @@ func TestRowFrameCountMustHold(t *testing.T) {
 			t.Fatal(err)
 		}
 		frame := file.Bytes()[section:]
-		// every event up to the one at which count and bytes part ways
-		want := min(declared, len(evs)) - 1
+		want := fmt.Sprintf("block at byte %d: %s", section, tc.reason)
+		refused := func(reader string, n int, err error) {
+			t.Helper()
+			if n != 0 || !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: %s delivered %d events then %v, want none and a format error holding %q", name, reader, n, err, want)
+			}
+		}
 
-		d := NewFrameDecoder(bytes.NewReader(frame), section, 0, ResyncPolicy{})
 		var ev Event
-		n := 0
-		for err = d.Decode(&ev); err == nil; err = d.Decode(&ev) {
-			n++
-		}
-		if !errors.Is(err, ErrBadFormat) || n != want {
-			t.Errorf("%s: Decode delivered %d events then %v, want %d then a format error", name, n, err, want)
-		}
-		d = NewFrameDecoder(bytes.NewReader(frame), section, 0, ResyncPolicy{})
-		if n, err := d.DecodeBatch(make([]Event, 64)); !errors.Is(err, ErrBadFormat) || n != want {
-			t.Errorf("%s: DecodeBatch delivered %d events then %v, want %d then a format error", name, n, err, want)
-		}
-		if _, _, err := readAllOpts(t, file.Bytes(), ResyncPolicy{}); !errors.Is(err, ErrBadFormat) {
-			t.Errorf("%s: EventReader returned %v, want a format error", name, err)
-		}
+		err = NewFrameDecoder(bytes.NewReader(frame), section, 0, ResyncPolicy{}).Decode(&ev)
+		refused("Decode", 0, err)
+		n, err := NewFrameDecoder(bytes.NewReader(frame), section, 0, ResyncPolicy{}).DecodeBatch(make([]Event, 64))
+		refused("DecodeBatch", n, err)
+		got, _, err := readAllOpts(t, file.Bytes(), ResyncPolicy{})
+		refused("EventReader", len(got[0]), err)
 	}
 }

@@ -527,7 +527,7 @@ func buildPipeline(h Hello) (stream.Pipeline, *Error) {
 		policy = p
 	}
 	pipe.CLC = h.CLC
-	pipe.Options = stream.Options{Window: h.Window, Policy: policy, Salvage: h.Salvage}
+	pipe.Options = stream.Options{Window: h.Window, Policy: policy}
 	return pipe, nil
 }
 

@@ -119,7 +119,7 @@ func reference(t *testing.T, c *corpus) {
 	}
 	pipe := stream.Pipeline{
 		Base: b, CLC: c.hello.CLC,
-		Options: stream.Options{Window: c.hello.Window, Salvage: c.hello.Salvage},
+		Options: stream.Options{Window: c.hello.Window},
 	}
 	var out bytes.Buffer
 	res, err := pipe.RunContext(context.Background(), src, &out, c.hello.Init, c.hello.Fin)
